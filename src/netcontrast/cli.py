@@ -249,6 +249,8 @@ def _cmd_recover(args):
                          "trace_residual": sol.trace_residual,
                          "sum_residual": sol.sum_residual,
                          "iterations": sol.iterations,
+                         "total_iterations": sol.total_iterations,
+                         "matvecs": sol.matvecs,
                          "converged": sol.converged}
     elif args.method == "glasso":
         grid = support.lambda_grid(avg, num=args.gl_grid)

@@ -624,7 +624,8 @@ def _refine_estimates(mstar, copies, r, methods):
 
 def _build_refine(cfg):
     """Refinement-estimator errors across coherence and signal-strength points."""
-    n_list = cfg.n_list or (400,)
+    # n = 800 is the smallest round size at which mu = n^(5/6) <= n/r
+    n_list = cfg.n_list or (800,)
     trials = cfg.trials or 20
     methods = _check_methods(cfg, _REFINE_METHODS, _REFINE_METHODS)
     params = cfg.params or (
@@ -634,6 +635,15 @@ def _build_refine(cfg):
     o = cfg.options
     r = int(o.get("r", 3))
     noise = _noise_from(o, "gaussian-iid")
+    for param in params:
+        fields = _parse_param_fields(param)
+        if "mu" not in fields or "lmin" not in fields:
+            raise ConfigError(f"exp-refine point {param!r} needs mu=...|lmin=...")
+        for n in n_list:
+            mu = eval_rule(fields["mu"], n=n, r=r)
+            if not 1.0 <= mu <= n / r:
+                raise ConfigError(f"exp-refine point {param!r} at n={n}: mu={mu:g} "
+                                  f"must lie in [1, n/r={n / r:g}]")
 
     def cell(n, param, data_rng, mrngs, timing):
         fields = _parse_param_fields(param)

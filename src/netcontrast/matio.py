@@ -1,7 +1,8 @@
 """Plain-text square-matrix files.
 
 Format: first line is the dimension n, followed by n lines of n
-whitespace-separated decimal floats.  Readers reject asymmetric input.
+whitespace-separated decimal floats.  Readers reject non-finite and
+asymmetric input.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ def read_matrix(path, require_symmetric=True):
     path : str or Path
     require_symmetric : bool
         When True (default), reject matrices whose max |A - A.T| entry
-        exceeds 1e-9.
+        exceeds 1e-9.  NaN and infinite entries are always rejected.
 
     Returns
     -------
@@ -46,6 +47,8 @@ def read_matrix(path, require_symmetric=True):
         mat = np.loadtxt(fh, ndmin=2)
     if mat.shape != (n, n):
         raise ValueError(f"{path}: expected a {n}x{n} matrix, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{path}: matrix has NaN or infinite entries")
     if require_symmetric:
         dev = float(np.max(np.abs(mat - mat.T)))
         if dev > SYMMETRY_ATOL:

@@ -87,67 +87,108 @@ class SdpSolution:
     sum_residual: float
     negative_entry: float       # monitor: max(0, -min Z_ij)
     diag_excess: float          # monitor: max(0, max Z_ii - 1)
-    iterations: int
+    iterations: int             # descent iterations of the kept restart
     converged: bool
+    total_iterations: int       # descent iterations over all restarts
+    matvecs: int                # products with the cost matrix over all restarts
 
     def z(self):
         return self.factor @ self.factor.T
 
 
-def _al_value_grad(c, x, y1, y2, rho, k, k2):
-    cx = c @ x
-    s = x.sum(axis=0)
-    h1 = float((x * x).sum()) - k
+def _lagrangian(q, h1, h2, y1, y2, rho):
+    return q + y1 * h1 + y2 * h2 + 0.5 * rho * (h1 * h1 + h2 * h2)
+
+
+def _column_sums(x):
+    # a product with ones: several times faster than x.sum(axis=0) on a thin x
+    return np.ones(x.shape[0]) @ x
+
+
+def _al_value_grad(cx, x, y1, y2, rho, k, k2):
+    """Augmented Lagrangian, its gradient and the residuals h1, h2 at x,
+    given cx = C x for a symmetric C."""
+    s = _column_sums(x)
+    h1 = float(np.vdot(x, x)) - k
     h2 = float(s @ s) - k2
-    f = float((cx * x).sum()) + y1 * h1 + y2 * h2 + 0.5 * rho * (h1 * h1 + h2 * h2)
-    g = 2.0 * cx + (2.0 * (y1 + rho * h1)) * x + (2.0 * (y2 + rho * h2)) * s[None, :]
+    f = _lagrangian(float(np.vdot(cx, x)), h1, h2, y1, y2, rho)
+    g = 2.0 * cx + (2.0 * (y1 + rho * h1)) * x + (2.0 * (y2 + rho * h2)) * s
     return f, g, h1, h2
 
 
+def _line_coefficients(cx, cg, x, g):
+    """Coefficients (a0, a1, a2) with which <C x_t, x_t>, ||x_t||^2 and
+    ||1^T x_t||^2 each equal a0 - 2 t a1 + t^2 a2 along x_t = x - t g, for a
+    symmetric C."""
+    s = _column_sums(x)
+    sg = _column_sums(g)
+    return (
+        (float(np.vdot(cx, x)), float(np.vdot(cx, g)), float(np.vdot(cg, g))),
+        (float(np.vdot(x, x)), float(np.vdot(x, g)), float(np.vdot(g, g))),
+        (float(s @ s), float(s @ sg), float(sg @ sg)),
+    )
+
+
+def _line_value(coef, t, y1, y2, rho, k, k2):
+    """Augmented Lagrangian at x - t g from _line_coefficients."""
+    q, nx, ns = (a0 - t * (2.0 * a1 - t * a2) for a0, a1, a2 in coef)
+    return _lagrangian(q, nx - k, ns - k2, y1, y2, rho)
+
+
 def _bb_descent(c, x, y1, y2, rho, k, k2, gtol, max_iter):
-    # Barzilai-Borwein steps with a nonmonotone Armijo backtrack
-    f, g, _, _ = _al_value_grad(c, x, y1, y2, rho, k, k2)
+    # Barzilai-Borwein steps with a nonmonotone Armijo backtrack.  Along -g
+    # the Lagrangian is a quartic in t whose coefficients need only c @ g, so
+    # an iteration makes one product with c however many trial steps it takes;
+    # c @ x follows the accepted steps linearly and restarts fresh each call.
+    # Returns (x, c @ x, h1, h2, iterations, matvecs).
+    cx = c @ x
+    matvecs = 1
+    f, g, h1, h2 = _al_value_grad(cx, x, y1, y2, rho, k, k2)
     hist = deque([f], maxlen=10)
     step = 1.0 / max(np.linalg.norm(g), 1.0)
     it = 0
     for it in range(1, max_iter + 1):
-        gn2 = float((g * g).sum())
+        gn2 = float(np.vdot(g, g))
         if math.sqrt(gn2) <= gtol * max(1.0, np.linalg.norm(x)):
             break
+        cg = c @ g
+        matvecs += 1
+        coef = _line_coefficients(cx, cg, x, g)
         fref = max(hist)
-        t = step
+        t = 2.0 * step
         for _ in range(40):
-            xn = x - t * g
-            fn, gnew, _, _ = _al_value_grad(c, xn, y1, y2, rho, k, k2)
-            if fn <= fref - 1e-4 * t * gn2:
-                break
             t *= 0.5
-        dx = xn - x
-        dg = gnew - g
-        sy = float((dx * dg).sum())
-        ss = float((dx * dx).sum())
+            if _line_value(coef, t, y1, y2, rho, k, k2) <= fref - 1e-4 * t * gn2:
+                break
+        x = x - t * g
+        cx = cx - t * cg
+        f, gnew, h1, h2 = _al_value_grad(cx, x, y1, y2, rho, k, k2)
+        # BB step from dx = -t g and dg = gnew - g
+        sy = -t * float(np.vdot(g, gnew - g))
+        ss = t * t * gn2
         step = ss / sy if sy > 1e-16 else 2.0 * t
         step = min(max(step, 1e-12), 1e6)
-        x, f, g = xn, fn, gnew
+        g = gnew
         hist.append(f)
-    return x, it
+    return x, cx, h1, h2, it, matvecs
 
 
 def _alm(c, x, k, k2, opts):
+    """Augmented-Lagrangian rounds; returns (x, iterations, matvecs, converged)."""
     y1 = y2 = 0.0
     rho = opts.penalty_init
     gtol = 1e-3
     prev_feas = math.inf
     prev_obj = math.inf
-    total = 0
+    total = matvecs = 0
     for _ in range(opts.max_outer):
-        x, it = _bb_descent(c, x, y1, y2, rho, k, k2, gtol, opts.max_inner)
+        x, cx, h1, h2, it, mv = _bb_descent(c, x, y1, y2, rho, k, k2, gtol, opts.max_inner)
         total += it
-        _, _, h1, h2 = _al_value_grad(c, x, y1, y2, rho, k, k2)
-        obj = float(((c @ x) * x).sum())
+        matvecs += mv
+        obj = float(np.vdot(cx, x))
         feas = max(abs(h1) / k, abs(h2) / k2)
         if feas <= opts.feas_tol and abs(obj - prev_obj) <= opts.obj_tol * max(1.0, abs(obj)):
-            return x, total, True
+            return x, total, matvecs, True
         prev_obj = obj
         y1 += rho * h1
         y2 += rho * h2
@@ -155,7 +196,7 @@ def _alm(c, x, k, k2, opts):
             rho = min(rho * opts.penalty_growth, 1e12)
         prev_feas = feas
         gtol = max(0.3 * gtol, 1e-9)
-    return x, total, False
+    return x, total, matvecs, False
 
 
 def solve_sdp(cost, m, opts=None, rng=None):
@@ -170,6 +211,7 @@ def solve_sdp(cost, m, opts=None, rng=None):
     Parameters
     ----------
     cost : CostMatrix or ndarray
+        Symmetric: a max |C - C^T| entry above 1e-6 times max |C| raises.
     m : int
         Support size, 1 <= m < n.
     """
@@ -179,6 +221,10 @@ def solve_sdp(cost, m, opts=None, rng=None):
         raise ValueError(f"cost must be square, got {c.shape}")
     if not 1 <= m < nt:
         raise ValueError(f"support size must satisfy 1 <= m < n, got m={m}, n={nt}")
+    # the gradient 2 C X and the line search both assume C = C^T
+    dev = float(np.max(np.abs(c - c.T)))
+    if not dev <= 1e-6 * float(np.max(np.abs(c))):
+        raise ValueError(f"cost must be finite and symmetric (max |C - C^T| = {dev:.3g})")
     opts = opts or SdpOptions()
     rng = rng if rng is not None else np.random.default_rng(opts.seed)
     k = float(nt - m)
@@ -195,12 +241,15 @@ def solve_sdp(cost, m, opts=None, rng=None):
         spill = np.where(np.arange(nt) % 2 == 0, 1.0, -1.0) / math.sqrt(nt)
         base[:, 1] = math.sqrt(max(k - k * k / nt, 0.0)) * spill
     best = None
+    total_iters = total_matvecs = 0
     for start in range(max(1, opts.restarts)):
         if start == 0:
             x0 = base
         else:
             x0 = base + opts.jitter * math.sqrt(k / nt) * rng.standard_normal((nt, p))
-        x, iters, ok = _alm(ch, x0, k, k2, opts)
+        x, iters, matvecs, ok = _alm(ch, x0, k, k2, opts)
+        total_iters += iters
+        total_matvecs += matvecs + 1
         norm = np.linalg.norm(x)
         if norm > 0:
             scaled = x * (math.sqrt(k) / norm)
@@ -225,6 +274,8 @@ def solve_sdp(cost, m, opts=None, rng=None):
         diag_excess=max(0.0, float(np.diagonal(z).max()) - 1.0),
         iterations=iters,
         converged=ok,
+        total_iterations=total_iters,
+        matvecs=total_matvecs,
     )
     if not ok:
         logger.warning(

@@ -52,6 +52,8 @@ def test_recover_sdp_finds_planted_support(dataset, tmp_path):
     assert rec["support"] == meta["supports"][0]
     assert rec["converged"] is True
     assert rec["sdp"]["trace_residual"] <= 1e-6 * (rec["kept_count"] - 4)
+    sdp = rec["sdp"]
+    assert 0 < sdp["iterations"] <= sdp["total_iterations"] <= sdp["matvecs"]
     assert rec["tau"] is not None and 0.2 < rec["tau"] < 3.0
 
 
@@ -92,6 +94,15 @@ def test_recover_validation_errors(dataset, capsys):
                  "--y0", str(dataset / "y0_00.txt"), "--rank", "2"]) == 1
     assert "--m" in capsys.readouterr().err
     assert main(["recover", "--y1", "/nonexistent.txt", "--m", "2"]) == 1
+
+
+def test_recover_rejects_non_finite_input(dataset, tmp_path, capsys):
+    y = read_matrix(dataset / "y1_00.txt")
+    y[3, 5] = y[5, 3] = np.nan
+    bad = tmp_path / "nan.txt"
+    write_matrix(bad, y)
+    assert main(["recover", "--y1", str(bad), "--method", "sdp", "--m", "4"]) == 1
+    assert "nan.txt" in capsys.readouterr().err
 
 
 def test_recover_nonconverged_exit_code(dataset, tmp_path):

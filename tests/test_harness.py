@@ -233,6 +233,21 @@ def test_refine_preset_smoke():
         assert math.isnan(r.value) or r.value >= 0
 
 
+def test_refine_preset_points_respect_sampler_cap():
+    # the default grid includes mu = n^(5/6), which needs n >= 729 at r = 3
+    plan = build_plan(config_from_mapping({"preset": "exp-refine"}))
+    assert plan.n_list == (800,)
+    for param in plan.params:
+        mu = eval_rule(param.split("|")[0].partition("=")[2], n=800, r=3)
+        assert 1.0 <= mu <= 800 / 3
+    cfg = config_from_mapping({"preset": "exp-refine", "n": "400",
+                               "params": "mu=n**(5/6)|lmin=3"})
+    with pytest.raises(ConfigError, match=r"mu=n\*\*\(5/6\).*n=400"):
+        build_plan(cfg)
+    with pytest.raises(ConfigError, match="lmin"):
+        build_plan(config_from_mapping({"preset": "exp-refine", "params": "mu=2"}))
+
+
 def test_multicopy_preset_row_count():
     cfg = config_from_mapping({"preset": "exp-multicopy", "n": "60", "trials": "1",
                                "seed": "2", "params": "2.0"})

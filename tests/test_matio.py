@@ -36,3 +36,14 @@ def test_rejects_bad_header(tmp_path):
     path.write_text("3\n1 0\n0 1\n")
     with pytest.raises(ValueError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_rejects_non_finite(tmp_path, bad):
+    # NaN compares False against the symmetry tolerance, so it needs its own check
+    path = tmp_path / "m.txt"
+    path.write_text(f"2\n1 {bad}\n{bad} 1\n")
+    with pytest.raises(ValueError, match="m.txt.*infinite"):
+        read_matrix(path)
+    with pytest.raises(ValueError, match="infinite"):
+        read_matrix(path, require_symmetric=False)

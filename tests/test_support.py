@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netcontrast import support
 from netcontrast.model import sample_node_sparse
 from netcontrast.support import (
     CostMatrix,
@@ -154,6 +155,104 @@ def test_sdp_input_validation():
         solve_sdp(np.zeros((5, 5)), 0)
     with pytest.raises(ValueError):
         solve_sdp(np.zeros((5, 5)), 5)
+    c = build_cost(rng_of(3).standard_normal((6, 6))).matrix
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_sdp(c, 2)
+    sym = 0.5 * (c + c.T)
+    sym[0, 1] *= 1 + 1e-12  # rounding-level asymmetry is accepted
+    assert solve_sdp(sym, 2).factor.shape == (6, 3)
+
+
+def test_line_search_closed_form_matches_direct_evaluation():
+    rng = rng_of(11)
+    n, p, k = 25, 3, 20.0
+    a = rng.standard_normal((n, n))
+    c = a + a.T
+    x = rng.standard_normal((n, p))
+    g = rng.standard_normal((n, p))
+    y1, y2, rho = 0.7, -0.3, 5.0
+    coef = support._line_coefficients(c @ x, c @ g, x, g)
+    for t in (0.0, 1e-6, 1e-3, 0.1, 0.5, 2.0):
+        xt = x - t * g
+        direct, _, _, _ = support._al_value_grad(c @ xt, xt, y1, y2, rho, k, k * k)
+        closed = support._line_value(coef, t, y1, y2, rho, k, k * k)
+        assert closed == pytest.approx(direct, rel=1e-10)
+
+
+def _reference_descent(c, x, y1, y2, rho, k, k2, steps):
+    # the descent with one fresh product per trial step, as a reference
+    def value_grad(x):
+        return support._al_value_grad(c @ x, x, y1, y2, rho, k, k2)[:2]
+    f, g = value_grad(x)
+    hist = [f]
+    step = 1.0 / max(np.linalg.norm(g), 1.0)
+    for _ in range(steps):
+        gn2 = float((g * g).sum())
+        t = step
+        for _ in range(40):
+            xn = x - t * g
+            fn, gnew = value_grad(xn)
+            if fn <= max(hist[-10:]) - 1e-4 * t * gn2:
+                break
+            t *= 0.5
+        dx, dg = xn - x, gnew - g
+        sy = float((dx * dg).sum())
+        step = float((dx * dx).sum()) / sy if sy > 1e-16 else 2.0 * t
+        step = min(max(step, 1e-12), 1e6)
+        x, g = xn, gnew
+        hist.append(fn)
+    return x
+
+
+def test_descent_follows_reference_iterates():
+    # the same method in exact arithmetic; rounding differences grow along the
+    # trajectory, so only the first steps are compared
+    rng = rng_of(12)
+    n, p, k = 40, 3, 35.0
+    c = build_cost(symmetric_noise(n, rng)).matrix
+    c /= np.linalg.norm(c)
+    x0 = rng.standard_normal((n, p))
+    for steps in (1, 3, 6):
+        want = _reference_descent(c, x0, 0.3, -0.1, 2.0, k, k * k, steps)
+        got = support._bb_descent(c, x0, 0.3, -0.1, 2.0, k, k * k, 0.0, steps)[0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+class _CountingOperator:
+    def __init__(self, a):
+        self.a, self.products = a, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.a @ v
+
+
+def test_sdp_one_cost_product_per_descent_step(monkeypatch):
+    rng = rng_of(13)
+    c = build_cost(symmetric_noise(30, rng)).matrix
+    op = _CountingOperator(c / np.linalg.norm(c))
+    x0 = rng.standard_normal((30, 3))
+    *_, it, matvecs = support._bb_descent(op, x0, 0.0, 0.0, 1.0, 27.0, 729.0, 0.0, 25)
+    assert it == 25 and matvecs == op.products == it + 1
+
+    calls = []
+    descent = support._bb_descent
+
+    def counted(*args):
+        calls.append(1)
+        return descent(*args)
+
+    monkeypatch.setattr(support, "_bb_descent", counted)
+    resid, _ = planted_residual(30, 3, 1.0, 6, sigma=0.8)
+    opts = SdpOptions(restarts=3)
+    sol = solve_sdp(build_cost(resid), 3, opts=opts, rng=rng_of(2))
+    assert sol.iterations <= sol.total_iterations
+    assert sol.total_iterations <= opts.restarts * opts.max_outer * opts.max_inner
+    # one product per descent step, plus one per descent call (c @ x at its
+    # start, where the last step it counts may be the gradient test) and one
+    # per restart (the objective of the rescaled factor)
+    assert sol.total_iterations + opts.restarts <= sol.matvecs
+    assert sol.matvecs <= sol.total_iterations + len(calls) + opts.restarts
 
 
 def test_sdp_matches_exhaustive_noiseless():
