@@ -31,22 +31,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--sdp-rank", type=int, default=3, help="factor width of the SDP solver")
-    p.add_argument("--sdp-feas-tol", type=float, default=1e-6, help="relative feasibility tolerance")
-    p.add_argument("--sdp-restarts", type=int, default=3, help="jittered restarts, best kept")
-    p.add_argument("--gl-rho", type=float, default=1.0, help="ADMM penalty parameter")
-    p.add_argument("--gl-tol", type=float, default=None, help="ADMM stopping tolerance (default 1e-6*||Y||_F)")
-    p.add_argument("--gl-max-iter", type=int, default=5000, help="ADMM iteration cap")
-    p.add_argument("--gl-grid", type=int, default=40, help="penalty-path grid size")
+    # unset flags stay out of args, so harness.solver_settings supplies the defaults
+    unset = argparse.SUPPRESS
+    p.add_argument("--sdp-rank", type=int, default=unset, help="factor width of the SDP solver")
+    p.add_argument("--sdp-feas-tol", type=float, default=unset, help="relative feasibility tolerance")
+    p.add_argument("--sdp-restarts", type=int, default=unset, help="jittered restarts, best kept")
+    p.add_argument("--gl-rho", type=float, default=unset, help="ADMM penalty parameter")
+    p.add_argument("--gl-tol", type=float, default=unset, help="ADMM stopping tolerance (default 1e-6*||Y||_F)")
+    p.add_argument("--gl-max-iter", type=int, default=unset, help="ADMM iteration cap")
+    p.add_argument("--gl-grid", type=int, default=unset, help="penalty-path grid size")
     p.add_argument("--seed", type=int, default=0, help="solver RNG seed")
-
-
-def _sdp_opts_from(args):
-    return support.SdpOptions(
-        factor_rank=args.sdp_rank,
-        feas_tol=args.sdp_feas_tol,
-        restarts=args.sdp_restarts,
-    )
 
 
 def _build_parser():
@@ -80,8 +74,7 @@ def _build_parser():
     r.add_argument("--y1", nargs="+", required=True, help="treatment matrices")
     r.add_argument("--y0", nargs="*", default=[], help="control matrices")
     r.add_argument("--rank", type=int, default=0, help="shared-structure rank (0 = none)")
-    r.add_argument("--method", default="sdp",
-                   choices=["sdp", "sdp-trunc", "sdp-multi", "glasso", "hard", "lse"])
+    r.add_argument("--method", default="sdp", choices=support.METHODS)
     r.add_argument("--m", type=int, default=None, help="support size")
     r.add_argument("--m-auto", action="store_true", help="select the support size automatically")
     r.add_argument("--c-thresh", type=float, default=1.0, help="m-selection slack constant")
@@ -187,6 +180,7 @@ def _read_matrices(paths):
 
 
 def _cmd_recover(args):
+    opts, gl = harness.solver_settings(vars(args))
     try:
         y1s = _read_matrices(args.y1)
         y0s = _read_matrices(args.y0)
@@ -209,19 +203,18 @@ def _cmd_recover(args):
         tau = spectral.estimate_noise_scale(base[0], dec)
     except ValueError:
         tau = None
-    avg = resids[0] if len(resids) == 1 else np.mean(np.stack(resids), axis=0)
-    nt = avg.shape[0]
+    nt = resids[0].shape[0]
 
     record = {"n": n, "rank": rank, "method": args.method,
               "kept_count": int(nt), "tau": tau}
     rng = np.random.default_rng(args.seed)
-    opts = _sdp_opts_from(args)
 
     m = args.m
     if args.m_auto:
         if tau is None:
             raise ConfigError("--m-auto needs a noise-scale estimate")
         m0 = m if m is not None else int(math.ceil(2 * math.log(nt)))
+        avg = resids[0] if len(resids) == 1 else np.mean(np.stack(resids), axis=0)
         sel = support.select_m(avg, tau, m0, c_thresh=args.c_thresh, opts=opts, rng=rng)
         m = sel.m
         record["m_auto"] = {"m": int(sel.m), "converged": sel.converged,
@@ -230,21 +223,13 @@ def _cmd_recover(args):
         raise ConfigError("either --m or --m-auto is required")
     record["m"] = int(m)
 
-    converged = True
-    if args.method in ("sdp", "sdp-trunc", "sdp-multi"):
-        if args.method == "sdp":
-            cost = support.build_cost(avg)
-        elif args.method == "sdp-trunc":
-            if tau is None:
-                raise ConfigError("--method sdp-trunc needs a noise-scale estimate")
-            cost = support.build_cost(avg, mode="truncated", tau=tau)
-        else:
-            if len(resids) < 2:
-                raise ConfigError("--method sdp-multi needs at least two --y1 matrices")
-            cost = support.build_cost(resids, mode="multi")
-        sol = support.solve_sdp(cost, m, opts=opts, rng=rng)
-        est = support.extract_support(sol, m)
-        converged = sol.converged
+    try:
+        indices, sol = support.recover(args.method, resids, m, tau=tau, kept=kept,
+                                       opts=opts, rng=rng, **gl)
+    except ValueError as exc:
+        raise ConfigError(f"--method {args.method}: {exc}") from None
+    converged = sol is None or sol.converged
+    if sol is not None:
         record["sdp"] = {"objective": sol.objective,
                          "trace_residual": sol.trace_residual,
                          "sum_residual": sol.sum_residual,
@@ -252,16 +237,6 @@ def _cmd_recover(args):
                          "total_iterations": sol.total_iterations,
                          "matvecs": sol.matvecs,
                          "converged": sol.converged}
-    elif args.method == "glasso":
-        grid = support.lambda_grid(avg, num=args.gl_grid)
-        est = support.group_lasso_support(avg, m, grid=grid, rho=args.gl_rho,
-                                          tol=args.gl_tol, max_iter=args.gl_max_iter)
-    elif args.method == "hard":
-        est = support.hard_threshold(avg, m)
-    else:
-        est = support.exhaustive_support(avg, m)
-
-    indices = est.indices if kept is None else np.asarray(kept, dtype=int)[est.indices]
     record["support"] = [int(i) for i in indices]
     record["converged"] = bool(converged)
     _emit_json(record, args.out)

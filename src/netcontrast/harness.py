@@ -56,7 +56,7 @@ def eval_rule(expr, **variables):
 # configuration
 
 _CONFIG_KEYS = {
-    "preset", "n", "trials", "seed", "methods", "params", "timing", "threads",
+    "preset", "n", "trials", "seed", "methods", "params", "timing",
     "r", "m", "mu", "sigma_b", "eigenvalues",
     "noise", "sigma", "sigma_min", "sigma_max", "truncation",
     "c_screen",
@@ -334,22 +334,34 @@ def _timed(fn, timing):
     return out, (time.perf_counter() - t0) * 1e3
 
 
-def _sdp_opts(o):
-    return support.SdpOptions(
-        factor_rank=int(o.get("sdp_rank", 3)),
-        feas_tol=float(o.get("sdp_feas_tol", 1e-6)),
-        restarts=int(o.get("sdp_restarts", 3)),
-        max_inner=int(o.get("sdp_max_inner", 300)),
-        max_outer=int(o.get("sdp_max_outer", 80)),
-    )
-
-
-def _gl_kwargs(o):
-    return {
-        "rho": float(o.get("gl_rho", 1.0)),
-        "tol": float(o["gl_tol"]) if "gl_tol" in o else None,
-        "max_iter": int(o.get("gl_max_iter", 5000)),
-    }
+def solver_settings(o):
+    """(SdpOptions, glasso keywords of support.recover) from the sdp_*, gl_*
+    and lambda_floor keys of o (strings or numbers), with the front-end
+    defaults; other keys are ignored and bad values raise ConfigError."""
+    try:
+        opts = support.SdpOptions(
+            factor_rank=int(o.get("sdp_rank", 3)),
+            feas_tol=float(o.get("sdp_feas_tol", 1e-6)),
+            restarts=int(o.get("sdp_restarts", 3)),
+            max_inner=int(o.get("sdp_max_inner", 300)),
+            max_outer=int(o.get("sdp_max_outer", 80)),
+        )
+        gl = {
+            "grid_size": int(o.get("gl_grid", 40)),
+            "floor_ratio": float(o.get("lambda_floor", 0.85)),
+            "rho": float(o.get("gl_rho", 1.0)),
+            "tol": float(o["gl_tol"]) if "gl_tol" in o else None,
+            "max_iter": int(o.get("gl_max_iter", 5000)),
+        }
+    except ValueError as exc:
+        raise ConfigError(f"bad solver setting: {exc}") from None
+    if gl["grid_size"] < 1:
+        raise ConfigError(f"gl_grid must be >= 1, got {gl['grid_size']}")
+    if not gl["rho"] > 0:
+        raise ConfigError(f"gl_rho must be > 0, got {gl['rho']}")
+    if gl["max_iter"] < 1:
+        raise ConfigError(f"gl_max_iter must be >= 1, got {gl['max_iter']}")
+    return opts, gl
 
 
 def _noise_from(o, default_family, default_sigma=1.0):
@@ -365,41 +377,15 @@ def _noise_from(o, default_family, default_sigma=1.0):
         raise ConfigError(str(exc)) from None
 
 
-_SUPPORT_METHODS = ("sdp", "sdp-trunc", "sdp-multi", "glasso", "hard", "lse")
-
-
-def _support_fnr(methods, resids, tau, m, truth, kept, mrngs, o, timing):
+def _support_fnr(methods, resids, tau, m, truth, kept, mrngs, settings, timing):
     """One trial's FNR per support method; resids is a matrix or list of copies."""
-    copies = [resids] if isinstance(resids, np.ndarray) else list(resids)
-    avg = copies[0] if len(copies) == 1 else np.mean(np.stack(copies), axis=0)
-    sdp_opts = _sdp_opts(o)
-    gl = _gl_kwargs(o)
+    opts, gl = settings
     rows = []
     for meth in methods:
         def run(meth=meth):
-            conv = True
-            if meth in ("sdp", "sdp-trunc", "sdp-multi"):
-                if meth == "sdp":
-                    cost = support.build_cost(avg)
-                elif meth == "sdp-trunc":
-                    cost = support.build_cost(avg, mode="truncated", tau=tau)
-                else:
-                    cost = support.build_cost(copies, mode="multi")
-                sol = support.solve_sdp(cost, m, opts=sdp_opts, rng=mrngs[meth])
-                est = support.extract_support(sol, m)
-                conv = sol.converged
-            elif meth == "glasso":
-                grid = support.lambda_grid(avg, num=int(o.get("gl_grid", 40)),
-                                           floor_ratio=float(o.get("lambda_floor", 0.85)))
-                est = support.group_lasso_support(avg, m, grid=grid, **gl)
-            elif meth == "hard":
-                est = support.hard_threshold(avg, m)
-            elif meth == "lse":
-                est = support.exhaustive_support(avg, m)
-            else:
-                raise ConfigError(f"method {meth!r} is not a support method")
-            idx = est.indices if kept is None else np.asarray(kept, dtype=int)[est.indices]
-            return support.false_negative_rate(idx, truth), conv
+            idx, sol = support.recover(meth, resids, m, tau=tau, kept=kept,
+                                       opts=opts, rng=mrngs[meth], **gl)
+            return support.false_negative_rate(idx, truth), sol is None or sol.converged
         try:
             (value, conv), ms = _timed(run, timing)
         except Exception:
@@ -439,9 +425,10 @@ def _build_snr(cfg):
     """Planted-model FNR sweep over the perturbation scale coefficient C."""
     n_list = cfg.n_list or (300,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, _SUPPORT_METHODS, ("sdp", "glasso"))
+    methods = _check_methods(cfg, support.METHODS, ("sdp", "glasso"))
     params = cfg.params or ("0.8", "1.2", "1.6", "2.0", "2.4")
     o = cfg.options
+    settings = solver_settings(o)
     r = int(o.get("r", 3))
     mu_rule = _rule(o, "mu", "log(n)", n_list, extra={"r": r})
     m_rule = _rule(o, "m", "10", n_list, extra={"r": r})
@@ -467,7 +454,7 @@ def _build_snr(cfg):
             tau = spectral.estimate_noise_scale(obs.g0[0], dec)
         except ValueError:
             tau = None
-        return _support_fnr(methods, resid, tau, m, truth_sup, keep.kept, mrngs, o, timing)
+        return _support_fnr(methods, resid, tau, m, truth_sup, keep.kept, mrngs, settings, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -476,15 +463,16 @@ def _build_glfail(cfg):
     """Decoy construction: planted rows plus decoy rows with larger energy."""
     n_list = cfg.n_list or (200,)
     trials = cfg.trials or 50
-    methods = _check_methods(cfg, _SUPPORT_METHODS, ("sdp", "glasso", "hard"))
+    methods = _check_methods(cfg, support.METHODS, ("sdp", "glasso", "hard"))
     params = cfg.params or ("decoy",)
     o = cfg.options
+    settings = solver_settings(o)
     noise = _noise_from(o, "gaussian-iid")
 
     def cell(n, param, data_rng, mrngs, timing):
         b, signal, _ = model.sample_decoy_perturbation(n, data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
-        return _support_fnr(methods, y, None, len(signal), signal, None, mrngs, o, timing)
+        return _support_fnr(methods, y, None, len(signal), signal, None, mrngs, settings, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -493,9 +481,10 @@ def _build_multicopy(cfg):
     """Product cost from two copies vs squared averaged copy, row-hetero noise."""
     n_list = cfg.n_list or (400,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, _SUPPORT_METHODS, ("sdp-multi", "sdp"))
+    methods = _check_methods(cfg, support.METHODS, ("sdp-multi", "sdp"))
     params = cfg.params or ("3.2",)
     o = cfg.options
+    settings = solver_settings(o)
     m_rule = _rule(o, "m", "ceil(2*log(n))", n_list)
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list, extra={"C": 1.0})
     noise = _noise_from(o, "gaussian-row-hetero")
@@ -507,7 +496,7 @@ def _build_multicopy(cfg):
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
         y1 = b + model.sample_noise(n, noise, data_rng)
         y2 = b + model.sample_noise(n, noise, data_rng)
-        return _support_fnr(methods, [y1, y2], None, m, truth_sup, None, mrngs, o, timing)
+        return _support_fnr(methods, [y1, y2], None, m, truth_sup, None, mrngs, settings, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -516,9 +505,10 @@ def _build_heavytail(cfg):
     """Truncated vs vanilla cost under scaled Student-t(4) noise."""
     n_list = cfg.n_list or (400,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, _SUPPORT_METHODS, ("sdp-trunc", "sdp"))
+    methods = _check_methods(cfg, support.METHODS, ("sdp-trunc", "sdp"))
     params = cfg.params or ("2.0",)
     o = cfg.options
+    settings = solver_settings(o)
     m_rule = _rule(o, "m", "ceil(2*log(n))", n_list)
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list, extra={"C": 1.0})
     noise = _noise_from(o, "scaled-t4")
@@ -531,7 +521,7 @@ def _build_heavytail(cfg):
         y = b + model.sample_noise(n, noise, data_rng)
         dec0 = spectral.spectral_init(y, 0)
         tau = spectral.estimate_noise_scale(y, dec0)
-        return _support_fnr(methods, y, tau, m, truth_sup, None, mrngs, o, timing)
+        return _support_fnr(methods, y, tau, m, truth_sup, None, mrngs, settings, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -550,11 +540,12 @@ def _build_coherence(cfg):
     """Screening on/off across eigenvector coherence levels."""
     n_list = cfg.n_list or (500,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, _SUPPORT_METHODS, ("sdp",))
+    methods = _check_methods(cfg, support.METHODS, ("sdp",))
     mu_exprs = ("log(n)", "sqrt(n/log(n))", "sqrt(n)*log(n)", "n**0.75")
     params = cfg.params or tuple(
         f"mu={expr}|screen={arm}" for expr in mu_exprs for arm in ("on", "off"))
     o = cfg.options
+    settings = solver_settings(o)
     # rank stays at 3 so the whole default mu grid respects the sampler cap
     # mu <= n/r; the screening-necessity band at mu = n^0.75 is sharper at
     # r=4 (spiky-row error energy grows with r) -- set r explicitly for that
@@ -589,7 +580,7 @@ def _build_coherence(cfg):
         else:
             resid = spectral.form_residual(obs.g1[0], dec)
             kept = None
-        return _support_fnr(methods, resid, None, m, truth_sup, kept, mrngs, o, timing)
+        return _support_fnr(methods, resid, None, m, truth_sup, kept, mrngs, settings, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -694,13 +685,12 @@ def _build_path(cfg):
     trials = cfg.trials or 20
     methods = _check_methods(cfg, ("active-count", "penalty"), ("active-count", "penalty"))
     o = cfg.options
-    grid_size = int(o.get("gl_grid", 60))
+    _, gl = solver_settings({"gl_grid": 60, **o})
+    grid_size, floor = gl.pop("grid_size"), gl.pop("floor_ratio")
     params = cfg.params or tuple(f"t{t:02d}" for t in range(grid_size))
     m_rule = _rule(o, "m", "5", n_list)
     sb_rule = _rule(o, "sigma_b", "1.9 * n**(-0.25) * log(n)**0.25", n_list)
     noise = _noise_from(o, "gaussian-iid")
-    gl = _gl_kwargs(o)
-    floor = float(o.get("lambda_floor", 0.85))
 
     def cell(n, data_rng, mrngs, timing):
         m = int(round(eval_rule(m_rule, n=n)))

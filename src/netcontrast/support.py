@@ -4,7 +4,8 @@ Four estimators over a common interface — a semidefinite relaxation solved in
 factored form, a node-wise group lasso solved by ADMM, a row-energy hard
 threshold, and an exhaustive least-squares search for tiny problems — plus
 cost construction for one or many residual copies, automatic support-size
-selection, and the false-negative-rate metric.
+selection, the false-negative-rate metric, and `recover`, the dispatch from a
+method name in METHODS to a support in original node numbering.
 
 The SDP minimizes <C, Z> over Z >= 0 with tr Z = K and <J, Z> = K^2
 (K = n - m); its optimum is the rank-one indicator of the complement of the
@@ -76,6 +77,13 @@ class SdpOptions:
     stall_ratio: float = 0.25
     jitter: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("factor_rank", "restarts", "max_inner", "max_outer"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.feas_tol > 0:
+            raise ValueError(f"feas_tol must be > 0, got {self.feas_tol}")
 
 
 @dataclass
@@ -242,7 +250,7 @@ def solve_sdp(cost, m, opts=None, rng=None):
         base[:, 1] = math.sqrt(max(k - k * k / nt, 0.0)) * spill
     best = None
     total_iters = total_matvecs = 0
-    for start in range(max(1, opts.restarts)):
+    for start in range(opts.restarts):
         if start == 0:
             x0 = base
         else:
@@ -584,3 +592,44 @@ def group_lasso_support(residual, m, grid=None, rho=1.0, tol=None, max_iter=5000
             break
     order = np.argsort(-res.alpha, kind="stable")
     return SupportEstimate(indices=np.sort(order[:m]), scores=res.alpha, method="glasso")
+
+
+# ---------------------------------------------------------------------------
+# method dispatch
+
+METHODS = ("sdp", "sdp-trunc", "sdp-multi", "glasso", "hard", "lse")
+
+
+def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None,
+            grid_size=40, floor_ratio=0.85, rho=1.0, tol=None, max_iter=5000):
+    """Size-m support of a residual, or a list of copies, by a METHODS name.
+
+    The SDP costs: sdp squares the averaged copy, sdp-trunc caps that at
+    tau^2, sdp-multi multiplies the two half-averages.  glasso, hard and lse
+    work on the averaged copy.  Returns (indices, solution): the support in
+    original node numbering (through kept, the screening map, when given)
+    and the SdpSolution of an SDP method, else None.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown support method {method!r}; use one of {', '.join(METHODS)}")
+    copies = [residuals] if isinstance(residuals, np.ndarray) else list(residuals)
+    avg = copies[0] if len(copies) == 1 else np.mean(np.stack(copies), axis=0)
+    sol = None
+    if method == "glasso":
+        grid = lambda_grid(avg, num=grid_size, floor_ratio=floor_ratio)
+        est = group_lasso_support(avg, m, grid=grid, rho=rho, tol=tol, max_iter=max_iter)
+    elif method == "hard":
+        est = hard_threshold(avg, m)
+    elif method == "lse":
+        est = exhaustive_support(avg, m)
+    else:
+        if method == "sdp":
+            cost = build_cost(avg)
+        elif method == "sdp-trunc":
+            cost = build_cost(avg, mode="truncated", tau=tau)
+        else:
+            cost = build_cost(copies, mode="multi")
+        sol = solve_sdp(cost, m, opts=opts, rng=rng)
+        est = extract_support(sol, m)
+    indices = est.indices if kept is None else np.asarray(kept, dtype=int)[est.indices]
+    return indices, sol

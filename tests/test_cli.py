@@ -59,7 +59,7 @@ def test_recover_sdp_finds_planted_support(dataset, tmp_path):
 
 def test_recover_other_methods_agree(dataset, tmp_path):
     meta = load_meta(dataset)
-    for method in ("glasso", "hard"):
+    for method in ("sdp-trunc", "sdp-multi", "glasso", "hard"):
         out = tmp_path / f"{method}.json"
         rc = main([
             "recover",
@@ -69,6 +69,36 @@ def test_recover_other_methods_agree(dataset, tmp_path):
         ])
         assert rc == 0
         assert json.loads(out.read_text())["support"] == meta["supports"][0]
+
+
+def test_recover_exhaustive_on_a_tiny_set(tmp_path):
+    data = tmp_path / "tiny"
+    assert main(["generate", "--n", "12", "--r", "1", "--m", "2", "--sigma-b", "4.0",
+                 "--seed", "3", "--out-dir", str(data)]) == 0
+    out = tmp_path / "lse.json"
+    rc = main([
+        "recover", "--y1", str(data / "y1_00.txt"), "--y0", str(data / "y0_00.txt"),
+        "--rank", "1", "--method", "lse", "--m", "2", "--no-screen", "--out", str(out),
+    ])
+    assert rc == 0
+    rec = json.loads(out.read_text())
+    assert rec["support"] == load_meta(data)["supports"][0]
+    assert rec["kept_count"] == 12 and "sdp" not in rec
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sdp-rank", "0"], ["--sdp-rank", "-1"], ["--sdp-restarts", "0"],
+    ["--sdp-feas-tol", "0"], ["--gl-grid", "0"], ["--gl-rho", "0"],
+    ["--gl-max-iter", "0"], ["--m", "0"], ["--m", "60"],
+])
+def test_recover_bad_settings_exit_one(dataset, capsys, flags):
+    method = "glasso" if flags[0].startswith("--gl") else "sdp"
+    m = [] if flags[0] == "--m" else ["--m", "4"]
+    rc = main(["recover", "--y1", str(dataset / "y1_00.txt"),
+               "--y0", str(dataset / "y0_00.txt"), "--rank", "2",
+               "--method", method, *m, *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_recover_m_auto(dataset, tmp_path):
@@ -94,6 +124,9 @@ def test_recover_validation_errors(dataset, capsys):
                  "--y0", str(dataset / "y0_00.txt"), "--rank", "2"]) == 1
     assert "--m" in capsys.readouterr().err
     assert main(["recover", "--y1", "/nonexistent.txt", "--m", "2"]) == 1
+    assert main(["recover", "--y1", str(dataset / "y1_00.txt"),
+                 "--method", "sdp-multi", "--m", "4"]) == 1
+    assert "sdp-multi" in capsys.readouterr().err
 
 
 def test_recover_rejects_non_finite_input(dataset, tmp_path, capsys):

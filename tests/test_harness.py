@@ -13,6 +13,7 @@ from netcontrast.harness import (
     preset_names,
     read_config,
     run_experiment,
+    solver_settings,
     write_results,
     write_summary,
 )
@@ -104,6 +105,44 @@ def test_build_plan_rejects_unknown_preset_and_methods():
         build_plan(ExperimentConfig(preset="exp-nope"))
     with pytest.raises(ConfigError):
         build_plan(small_snr_cfg(methods="sdp,bogus"))
+
+
+def test_threads_is_not_a_config_key(tmp_path):
+    with pytest.raises(ConfigError, match="unknown key 'threads'"):
+        config_from_mapping({"preset": "exp-snr", "threads": "4"})
+    path = tmp_path / "threads.cfg"
+    path.write_text("preset = exp-snr\nthreads = 4\n")
+    with pytest.raises(ConfigError, match="unknown key 'threads'"):
+        read_config(path)
+
+
+def test_solver_settings_defaults_and_overrides():
+    opts, gl = solver_settings({})
+    assert (opts.factor_rank, opts.restarts, opts.feas_tol, opts.max_inner,
+            opts.max_outer) == (3, 3, 1e-6, 300, 80)
+    assert gl == {"grid_size": 40, "floor_ratio": 0.85, "rho": 1.0, "tol": None,
+                  "max_iter": 5000}
+    opts, gl = solver_settings({"sdp_rank": "2", "sdp_restarts": 1, "gl_tol": "1e-5",
+                                "gl_grid": "7", "lambda_floor": "0.5", "r": "3"})
+    assert (opts.factor_rank, opts.restarts) == (2, 1)
+    assert (gl["grid_size"], gl["floor_ratio"], gl["tol"]) == (7, 0.5, 1e-5)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sdp_rank", "0"), ("sdp_rank", "-1"), ("sdp_restarts", "0"),
+    ("sdp_max_inner", "0"), ("sdp_max_outer", "0"), ("sdp_feas_tol", "0"),
+    ("gl_grid", "0"), ("gl_rho", "0"), ("gl_max_iter", "0"), ("sdp_rank", "two"),
+])
+def test_bad_solver_settings_fail_at_plan_build(key, value):
+    with pytest.raises(ConfigError):
+        build_plan(small_snr_cfg(**{key: value}))
+
+
+@pytest.mark.parametrize("preset", ["exp-glfail", "exp-multicopy", "exp-heavytail",
+                                    "exp-coherence", "exp-path"])
+def test_every_support_preset_checks_solver_settings(preset):
+    with pytest.raises(ConfigError, match="gl_grid"):
+        build_plan(config_from_mapping({"preset": preset, "gl_grid": "0"}))
 
 
 def test_build_plan_rejects_nonpositive_rule():

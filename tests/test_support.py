@@ -148,6 +148,18 @@ def test_sdp_support_invariant_to_cost_scale():
     assert np.array_equal(a.indices, b.indices)
 
 
+@pytest.mark.parametrize("field", ["factor_rank", "restarts", "max_inner", "max_outer"])
+def test_sdp_options_reject_counts_below_one(field):
+    with pytest.raises(ValueError, match=field):
+        SdpOptions(**{field: 0})
+
+
+@pytest.mark.parametrize("feas_tol", [0.0, -1e-6, math.nan])
+def test_sdp_options_reject_nonpositive_feas_tol(feas_tol):
+    with pytest.raises(ValueError, match="feas_tol"):
+        SdpOptions(feas_tol=feas_tol)
+
+
 def test_sdp_input_validation():
     with pytest.raises(ValueError):
         solve_sdp(np.zeros((3, 4)), 1)
@@ -532,3 +544,52 @@ def test_group_lasso_shrinks_row_norms(seed, lam_frac):
     assert np.all(res.alpha <= np.linalg.norm(y, axis=1) + 1e-6)
     if lam >= lambda_max(y):
         assert np.all(res.alpha == 0)
+
+
+# ---------------------------------------------------------------------------
+# method dispatch
+
+def _direct_support(method, copies, m, tau, opts, rng):
+    """The call chain each method stood for before `recover` (local indices)."""
+    avg = np.mean(np.stack(copies), axis=0)
+    if method == "glasso":
+        grid = lambda_grid(avg, num=12, floor_ratio=0.7)
+        return group_lasso_support(avg, m, grid=grid, rho=2.0, max_iter=800).indices
+    if method == "hard":
+        return hard_threshold(avg, m).indices
+    if method == "lse":
+        return exhaustive_support(avg, m).indices
+    if method == "sdp":
+        cost = build_cost(avg)
+    elif method == "sdp-trunc":
+        cost = build_cost(avg, mode="truncated", tau=tau)
+    else:
+        cost = build_cost(copies, mode="multi")
+    return extract_support(solve_sdp(cost, m, opts=opts, rng=rng), m).indices
+
+
+@pytest.mark.parametrize("method", support.METHODS)
+def test_recover_matches_direct_call_chain(method):
+    rng = rng_of(21)
+    b, _ = sample_node_sparse(14, 3, 2.0, rng)
+    copies = [b + symmetric_noise(14, rng) for _ in range(2)]
+    kept = np.arange(3, 17)  # 14 screened rows of a 20-node graph
+    opts = SdpOptions(restarts=2, factor_rank=2)
+    gl = {"grid_size": 12, "floor_ratio": 0.7, "rho": 2.0, "max_iter": 800}
+    want = kept[_direct_support(method, copies, 3, 1.5, opts, rng_of(5))]
+    got, sol = support.recover(method, copies, 3, tau=1.5, kept=kept, opts=opts,
+                               rng=rng_of(5), **gl)
+    assert np.array_equal(got, want)
+    assert (sol is not None) == method.startswith("sdp")
+    local, _ = support.recover(method, copies, 3, tau=1.5, opts=opts, rng=rng_of(5), **gl)
+    assert np.array_equal(kept[local], want)
+
+
+def test_recover_rejects_bad_requests():
+    resid, _ = planted_residual(12, 2, 3.0, 4, sigma=0.5)
+    with pytest.raises(ValueError, match="unknown support method"):
+        support.recover("sdp-fast", resid, 2)
+    with pytest.raises(ValueError, match="tau"):
+        support.recover("sdp-trunc", resid, 2)
+    with pytest.raises(ValueError, match="2 residual copies"):
+        support.recover("sdp-multi", [resid], 2)
