@@ -31,15 +31,12 @@ from .spectral import (
     spectral_init,
 )
 from .support import (
-    CostMatrix,
     GroupLassoPath,
     GroupLassoResult,
     MSelection,
     SdpOptions,
     SdpSolution,
-    SupportEstimate,
     build_cost,
-    estimate_perturbation,
     exhaustive_support,
     extract_support,
     false_negative_rate,
@@ -59,11 +56,9 @@ from .refine import (
     debiased_eigenvectors,
     eigenspace_correction,
     entry_error,
-    linear_form_estimate,
     mask_support,
     reconstruct_symmetric,
     spectral_baseline,
-    subspace_error,
     whitened_reconstruction,
 )
 from .harness import (

@@ -317,40 +317,20 @@ def _cmd_refine(args):
 
 
 def _cmd_experiment(args):
-    if args.config:
-        cfg = harness.read_config(args.config)
-    else:
-        cfg = harness.config_from_mapping({"preset": args.preset})
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.trials is not None:
-        overrides["trials"] = str(args.trials)
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.methods is not None:
-        overrides["methods"] = args.methods
-    if args.params is not None:
-        overrides["params"] = args.params
+    # one mapping of config strings; later sources win: the file (or
+    # --preset), then --timing, then the named flags, then --set
+    raw = harness.read_config_mapping(args.config) if args.config else {"preset": args.preset}
+    if args.timing:
+        raw["timing"] = "1"
+    for key in ("seed", "trials", "n", "methods", "params"):
+        if getattr(args, key) is not None:
+            raw[key] = str(getattr(args, key))
     for item in args.set:
         key, eq, val = item.partition("=")
         if not eq:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        overrides[key.strip()] = val.strip()
-    if overrides or args.timing:
-        merged = {"preset": cfg.preset, "seed": str(cfg.seed),
-                  "timing": "1" if (cfg.timing or args.timing) else "0"}
-        if cfg.n_list is not None:
-            merged["n"] = ",".join(str(n) for n in cfg.n_list)
-        if cfg.trials is not None:
-            merged["trials"] = str(cfg.trials)
-        if cfg.methods is not None:
-            merged["methods"] = ",".join(cfg.methods)
-        if cfg.params is not None:
-            merged["params"] = ",".join(cfg.params)
-        merged.update(cfg.options)
-        merged.update(overrides)
-        cfg = harness.config_from_mapping(merged)
+        raw[key.strip()] = val.strip()
+    cfg = harness.config_from_mapping(raw)
 
     result = harness.run_experiment(cfg, threads=args.threads)
     if args.out:
@@ -373,15 +353,15 @@ def _cmd_oracle(args):
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     try:
-        est = support.exhaustive_support(mat, args.m, limit=args.limit)
+        idx = support.exhaustive_support(mat, args.m, limit=args.limit)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    comp = np.setdiff1d(np.arange(mat.shape[0]), est.indices)
+    comp = np.setdiff1d(np.arange(mat.shape[0]), idx)
     block = mat[np.ix_(comp, comp)] ** 2
     record = {
         "n": int(mat.shape[0]),
         "m": int(args.m),
-        "support": [int(i) for i in est.indices],
+        "support": [int(i) for i in idx],
         "complement_energy": 0.5 * (float(block.sum()) + float(np.trace(block))),
     }
     _emit_json(record, args.out)

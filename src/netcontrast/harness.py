@@ -46,10 +46,9 @@ def eval_rule(expr, **variables):
     abs, min, max), and the supplied variables are visible.
     """
     try:
-        value = eval(expr, {"__builtins__": {}}, {**_RULE_NAMES, **variables})
+        return float(eval(expr, {"__builtins__": {}}, {**_RULE_NAMES, **variables}))
     except Exception as exc:
         raise ConfigError(f"cannot evaluate rule {expr!r}: {exc}") from None
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +80,11 @@ class ExperimentConfig:
 
 def read_config(path):
     """Parse a flat key=value config file ('#' starts a comment)."""
+    return config_from_mapping(read_config_mapping(path))
+
+
+def read_config_mapping(path):
+    """The key -> value strings of a config file, before any conversion."""
     raw = {}
     try:
         fh = open(path, encoding="utf-8")
@@ -105,7 +109,7 @@ def read_config(path):
             raw[key] = val
     if "preset" not in raw:
         raise ConfigError(f"{path}: missing required key 'preset'")
-    return config_from_mapping(raw)
+    return raw
 
 
 def config_from_mapping(raw):
@@ -395,7 +399,7 @@ def _support_fnr(methods, resids, tau, m, truth, kept, mrngs, settings, timing):
     return rows
 
 
-def _planted_truth(n, r, mu, eig_rule, data_rng, o):
+def _planted_truth(n, r, mu, eig_rule, data_rng):
     basis = model.sample_incoherent_basis(n, r, mu, data_rng)
     vals = np.array([eval_rule(eig_rule, n=n, i=i, r=r) for i in range(1, r + 1)])
     return basis, vals
@@ -409,12 +413,22 @@ def _check_methods(cfg, allowed, default):
     return methods
 
 
-def _rule(o, key, default, n_list, positive=True, extra=None):
+def _rule(o, key, default, n_list, extra=None):
     expr = o.get(key, default)
     for n in n_list:
         val = eval_rule(expr, n=n, **(extra or {}))
-        if positive and not val > 0:
+        if not val > 0:
             raise ConfigError(f"rule {key} = {expr!r} is not positive at n={n}")
+    return expr
+
+
+def _check_mu(what, expr, n_list, r):
+    """expr, after checking that it gives a coherence mu in the samplers'
+    range [1, n/r] at every n."""
+    for n in n_list:
+        mu = eval_rule(expr, n=n, r=r)
+        if not 1.0 <= mu <= n / r:
+            raise ConfigError(f"{what} at n={n}: mu={mu:g} must lie in [1, n/r={n / r:g}]")
     return expr
 
 
@@ -430,7 +444,7 @@ def _build_snr(cfg):
     o = cfg.options
     settings = solver_settings(o)
     r = int(o.get("r", 3))
-    mu_rule = _rule(o, "mu", "log(n)", n_list, extra={"r": r})
+    mu_rule = _check_mu("exp-snr mu", o.get("mu", "log(n)"), n_list, r)
     m_rule = _rule(o, "m", "10", n_list, extra={"r": r})
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list,
                     extra={"r": r, "C": 1.0})
@@ -443,7 +457,7 @@ def _build_snr(cfg):
         mu = eval_rule(mu_rule, n=n, r=r)
         m = int(round(eval_rule(m_rule, n=n, r=r)))
         sigma_b = eval_rule(sb_rule, n=n, r=r, C=coeff)
-        basis, vals = _planted_truth(n, r, mu, eig_rule, data_rng, o)
+        basis, vals = _planted_truth(n, r, mu, eig_rule, data_rng)
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
         gt = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
@@ -462,6 +476,9 @@ def _build_snr(cfg):
 def _build_glfail(cfg):
     """Decoy construction: planted rows plus decoy rows with larger energy."""
     n_list = cfg.n_list or (200,)
+    if min(n_list) < 100:
+        raise ConfigError(f"{cfg.preset}: the decoy construction needs n >= 100, "
+                          f"got n={min(n_list)}")
     trials = cfg.trials or 50
     methods = _check_methods(cfg, support.METHODS, ("sdp", "glasso", "hard"))
     params = cfg.params or ("decoy",)
@@ -550,6 +567,11 @@ def _build_coherence(cfg):
     # mu <= n/r; the screening-necessity band at mu = n^0.75 is sharper at
     # r=4 (spiky-row error energy grows with r) -- set r explicitly for that
     r = int(o.get("r", 3))
+    for param in params:
+        fields = _parse_param_fields(param)
+        if "mu" not in fields:
+            raise ConfigError(f"exp-coherence point {param!r} needs mu=...")
+        _check_mu(f"exp-coherence point {param!r}", fields["mu"], n_list, r)
     m_rule = _rule(o, "m", "10", n_list, extra={"r": r})
     sb_rule = _rule(o, "sigma_b", "2 * n**(-0.25) * log(n)**0.25", n_list, extra={"r": r})
     eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
@@ -562,7 +584,7 @@ def _build_coherence(cfg):
         screen = _parse_bool(fields.get("screen", "on"))
         m = int(round(eval_rule(m_rule, n=n, r=r)))
         sigma_b = eval_rule(sb_rule, n=n, r=r)
-        basis, vals = _planted_truth(n, r, mu, eig_rule, data_rng, o)
+        basis, vals = _planted_truth(n, r, mu, eig_rule, data_rng)
         pool = None
         if screen:
             norms = np.linalg.norm(basis, axis=1)
@@ -630,11 +652,7 @@ def _build_refine(cfg):
         fields = _parse_param_fields(param)
         if "mu" not in fields or "lmin" not in fields:
             raise ConfigError(f"exp-refine point {param!r} needs mu=...|lmin=...")
-        for n in n_list:
-            mu = eval_rule(fields["mu"], n=n, r=r)
-            if not 1.0 <= mu <= n / r:
-                raise ConfigError(f"exp-refine point {param!r} at n={n}: mu={mu:g} "
-                                  f"must lie in [1, n/r={n / r:g}]")
+        _check_mu(f"exp-refine point {param!r}", fields["mu"], n_list, r)
 
     def cell(n, param, data_rng, mrngs, timing):
         fields = _parse_param_fields(param)
@@ -659,7 +677,7 @@ def _build_eigengap(cfg):
     params = cfg.params or ("1", "n**(1/6)", "n**(1/3)")
     o = cfg.options
     r = 3
-    mu_rule = _rule(o, "mu", "sqrt(n)*log(n)", n_list, extra={"r": r})
+    mu_rule = _check_mu("exp-eigengap mu", o.get("mu", "sqrt(n)*log(n)"), n_list, r)
     noise = _noise_from(o, "gaussian-iid")
 
     def cell(n, param, data_rng, mrngs, timing):

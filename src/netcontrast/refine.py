@@ -5,13 +5,11 @@ matrix are spliced into one asymmetric composite whose left/right eigenpairs
 carry a multiplicative bias that cancels in the product of left and right
 linear forms.  This module provides the splicing, the asymmetric eigen
 decomposition, the entrywise debiased estimator, an eigenspace whitening
-correction built from two extra independent copies, and the error metrics
+correction built from two extra independent copies, and the entrywise error
 used to compare estimators.
 """
 
-import itertools
 import logging
-import math
 
 from dataclasses import dataclass
 
@@ -26,7 +24,7 @@ logger = logging.getLogger(__name__)
 def mask_support(mat, support):
     """Zero out the support rows and columns, keeping the complement block."""
     mat = np.asarray(mat, dtype=float)
-    idx = support.indices if hasattr(support, "indices") else np.asarray(support, dtype=int)
+    idx = np.asarray(support, dtype=int)
     out = mat.copy()
     if idx.size:
         out[idx, :] = 0.0
@@ -85,19 +83,6 @@ def _overlaps(dec):
     return ov
 
 
-def linear_form_estimate(dec, a, l):
-    """Debiased |<a, u_l>| estimate from one asymmetric decomposition.
-
-    The geometric mean of the left and right linear forms, normalized by the
-    left/right overlap, cancels the first-order eigenvector bias; the result
-    is capped at ||a||_2.
-    """
-    a = np.asarray(a, dtype=float)
-    ov = _overlaps(dec)
-    raw = math.sqrt(abs(float(a @ dec.right[:, l]) * float(a @ dec.left[:, l]) / ov[l]))
-    return min(raw, float(np.linalg.norm(a)))
-
-
 def debiased_eigenvectors(dec):
     """Entrywise debiased eigenvector matrix.
 
@@ -153,33 +138,14 @@ def eigenspace_correction(dec, copy1, copy2):
 
 
 def whitened_reconstruction(dec, correction):
-    """Shared-matrix estimate from whitened right eigenvectors."""
-    psi = correction.psi if isinstance(correction, CorrectionFactor) else np.asarray(correction)
-    return reconstruct_symmetric(dec.right @ psi, dec.values)
+    """Shared-matrix estimate from the right eigenvectors whitened by a
+    CorrectionFactor."""
+    return reconstruct_symmetric(dec.right @ correction.psi, dec.values)
 
 
 def spectral_baseline(mats, rank):
     """Plain rank-r truncation of the (averaged) symmetric observations."""
     return spectral_init(mats, rank).reconstruct()
-
-
-def subspace_error(uest, ustar):
-    """Two-to-infinity distance between column spaces, minimized over the
-    polar alignment and (for rank <= 10) all per-column sign flips."""
-    uest = np.asarray(uest, dtype=float)
-    ustar = np.asarray(ustar, dtype=float)
-    if uest.shape != ustar.shape:
-        raise ValueError("shapes must match")
-    uu, _, vt = np.linalg.svd(uest.T @ ustar)
-    candidates = [uu @ vt]
-    r = ustar.shape[1]
-    if r <= 10:
-        for signs in itertools.product((1.0, -1.0), repeat=r):
-            candidates.append(np.diag(signs))
-    return min(
-        float(np.max(np.linalg.norm(uest @ a - ustar, axis=1)))
-        for a in candidates
-    )
 
 
 def entry_error(a, b):

@@ -55,11 +55,15 @@ def spectral_init(g0, rank):
     Returns
     -------
     RankDecomposition
+
+    Raises ValueError on non-finite input.
     """
     mats = g0 if isinstance(g0, (list, tuple)) else [g0]
     if not mats:
         raise ValueError("need at least one control matrix")
     mean = np.mean(np.stack([np.asarray(y, dtype=float) for y in mats]), axis=0)
+    if not np.isfinite(mean).all():
+        raise ValueError("control matrices must be finite")
     n = mean.shape[0]
     if rank > n:
         raise ValueError(f"rank {rank} exceeds dimension {n}")

@@ -26,13 +26,6 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # cost construction
 
-@dataclass
-class CostMatrix:
-    matrix: np.ndarray
-    mode: str
-    tau: float | None = None
-
-
 def build_cost(residuals, mode="single", tau=None):
     """Cost matrix for the support SDP.
 
@@ -50,33 +43,35 @@ def build_cost(residuals, mode="single", tau=None):
             if tau is None or tau <= 0:
                 raise ValueError("truncated mode needs tau > 0")
             c = np.minimum(c, tau * tau)
-        return CostMatrix(matrix=c, mode=mode, tau=tau)
+        return c
     if mode == "multi":
         if len(mats) < 2:
             raise ValueError("multi mode needs at least 2 residual copies")
         half = (len(mats) + 1) // 2
         a = np.mean(np.stack(mats[:half]), axis=0)
         b = np.mean(np.stack(mats[half:]), axis=0)
-        return CostMatrix(matrix=a * b, mode=mode, tau=None)
+        return a * b
     raise ValueError(f"unknown cost mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
 # factored SDP solver
 
+_OBJ_TOL = 1e-7         # relative objective change across outer rounds
+_PENALTY_INIT = 1.0
+_PENALTY_GROWTH = 5.0   # applied when feasibility improves by less than _STALL_RATIO
+_STALL_RATIO = 0.25
+_JITTER = 0.1           # scale of the random start perturbation of later restarts
+_SEED = 0               # solver generator when no rng is passed
+
+
 @dataclass
 class SdpOptions:
     factor_rank: int = 3
     feas_tol: float = 1e-6       # relative: |tr Z - K| <= feas_tol*K, |<J,Z>-K^2| <= feas_tol*K^2
-    obj_tol: float = 1e-7        # relative objective change across outer rounds
     restarts: int = 2
     max_outer: int = 80
     max_inner: int = 300
-    penalty_init: float = 1.0
-    penalty_growth: float = 5.0
-    stall_ratio: float = 0.25
-    jitter: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("factor_rank", "restarts", "max_inner", "max_outer"):
@@ -184,7 +179,7 @@ def _bb_descent(c, x, y1, y2, rho, k, k2, gtol, max_iter):
 def _alm(c, x, k, k2, opts):
     """Augmented-Lagrangian rounds; returns (x, iterations, matvecs, converged)."""
     y1 = y2 = 0.0
-    rho = opts.penalty_init
+    rho = _PENALTY_INIT
     gtol = 1e-3
     prev_feas = math.inf
     prev_obj = math.inf
@@ -195,13 +190,13 @@ def _alm(c, x, k, k2, opts):
         matvecs += mv
         obj = float(np.vdot(cx, x))
         feas = max(abs(h1) / k, abs(h2) / k2)
-        if feas <= opts.feas_tol and abs(obj - prev_obj) <= opts.obj_tol * max(1.0, abs(obj)):
+        if feas <= opts.feas_tol and abs(obj - prev_obj) <= _OBJ_TOL * max(1.0, abs(obj)):
             return x, total, matvecs, True
         prev_obj = obj
         y1 += rho * h1
         y2 += rho * h2
-        if feas > opts.stall_ratio * prev_feas:
-            rho = min(rho * opts.penalty_growth, 1e12)
+        if feas > _STALL_RATIO * prev_feas:
+            rho = min(rho * _PENALTY_GROWTH, 1e12)
         prev_feas = feas
         gtol = max(0.3 * gtol, 1e-9)
     return x, total, matvecs, False
@@ -218,12 +213,12 @@ def solve_sdp(cost, m, opts=None, rng=None):
 
     Parameters
     ----------
-    cost : CostMatrix or ndarray
+    cost : ndarray
         Symmetric: a max |C - C^T| entry above 1e-6 times max |C| raises.
     m : int
         Support size, 1 <= m < n.
     """
-    c = np.asarray(cost.matrix if isinstance(cost, CostMatrix) else cost, dtype=float)
+    c = np.asarray(cost, dtype=float)
     nt = c.shape[0]
     if c.shape != (nt, nt):
         raise ValueError(f"cost must be square, got {c.shape}")
@@ -234,7 +229,7 @@ def solve_sdp(cost, m, opts=None, rng=None):
     if not dev <= 1e-6 * float(np.max(np.abs(c))):
         raise ValueError(f"cost must be finite and symmetric (max |C - C^T| = {dev:.3g})")
     opts = opts or SdpOptions()
-    rng = rng if rng is not None else np.random.default_rng(opts.seed)
+    rng = rng if rng is not None else np.random.default_rng(_SEED)
     k = float(nt - m)
     k2 = k * k
     p = min(opts.factor_rank, nt)
@@ -254,7 +249,7 @@ def solve_sdp(cost, m, opts=None, rng=None):
         if start == 0:
             x0 = base
         else:
-            x0 = base + opts.jitter * math.sqrt(k / nt) * rng.standard_normal((nt, p))
+            x0 = base + _JITTER * math.sqrt(k / nt) * rng.standard_normal((nt, p))
         x, iters, matvecs, ok = _alm(ch, x0, k, k2, opts)
         total_iters += iters
         total_matvecs += matvecs + 1
@@ -295,50 +290,13 @@ def solve_sdp(cost, m, opts=None, rng=None):
 
 # ---------------------------------------------------------------------------
 # support extraction and scoring
-
-@dataclass
-class SupportEstimate:
-    """Ordered support indices plus the per-node scores that produced them."""
-
-    indices: np.ndarray
-    scores: np.ndarray
-    method: str
-
-
-def _indices_of(support):
-    return support.indices if isinstance(support, SupportEstimate) else np.asarray(support, dtype=int)
-
+#
+# Every estimator returns its support as a sorted index array.
 
 def extract_support(solution, m):
     """m smallest row sums of the SDP solution (ascending-index tie-break)."""
     order = np.argsort(solution.row_sums, kind="stable")
-    return SupportEstimate(
-        indices=np.sort(order[:m]),
-        scores=solution.row_sums.copy(),
-        method="sdp",
-    )
-
-
-def estimate_perturbation(residual, support, kept=None, n=None):
-    """Residual masked to the support rows/columns (zero elsewhere).
-
-    With kept (the screening index map) and the original dimension n, the
-    estimate is embedded back at the original node indices.
-    """
-    residual = np.asarray(residual, dtype=float)
-    idx = _indices_of(support)
-    local = np.zeros_like(residual)
-    if idx.size:
-        local[idx, :] = residual[idx, :]
-        local[:, idx] = residual[:, idx]
-    if kept is None:
-        return local
-    kept = np.asarray(kept, dtype=int)
-    if n is None:
-        raise ValueError("embedding needs the original dimension n")
-    out = np.zeros((n, n))
-    out[np.ix_(kept, kept)] = local
-    return out
+    return np.sort(order[:m])
 
 
 def hard_threshold(residual, m):
@@ -348,7 +306,7 @@ def hard_threshold(residual, m):
         raise ValueError(f"need 1 <= m < n, got m={m}")
     norms = np.linalg.norm(residual, axis=1)
     order = np.argsort(-norms, kind="stable")
-    return SupportEstimate(indices=np.sort(order[:m]), scores=norms, method="hard")
+    return np.sort(order[:m])
 
 
 def exhaustive_support(residual, m, limit=16):
@@ -372,11 +330,7 @@ def exhaustive_support(residual, m, limit=16):
         if val < best_val:
             best_val = val
             best = combo
-    return SupportEstimate(
-        indices=np.array(best, dtype=int),
-        scores=np.linalg.norm(residual, axis=1),
-        method="lse",
-    )
+    return np.array(best, dtype=int)
 
 
 def false_negative_rate(estimate, truth):
@@ -384,7 +338,7 @@ def false_negative_rate(estimate, truth):
     true_set = set(np.asarray(truth, dtype=int).tolist())
     if not true_set:
         raise ValueError("true support is empty")
-    est_set = set(_indices_of(estimate).tolist())
+    est_set = set(np.asarray(estimate, dtype=int).tolist())
     return len(true_set - est_set) / len(true_set)
 
 
@@ -418,7 +372,7 @@ def select_m(residual, sigma_hat, m0, c_thresh=1.0, opts=None, rng=None, max_ste
     def passes(m):
         if m not in cache:
             sol = solve_sdp(sq, m, opts=opts, rng=rng)
-            comp = np.setdiff1d(np.arange(nt), extract_support(sol, m).indices)
+            comp = np.setdiff1d(np.arange(nt), extract_support(sol, m))
             s_max = float(sq[np.ix_(comp, comp)].sum(axis=1).max())
             slack = c_thresh * sigma_hat**2 * math.sqrt((nt - m) * math.log(nt))
             cache[m] = abs(s_max - sigma_hat**2 * (nt - m)) <= slack
@@ -591,7 +545,7 @@ def group_lasso_support(residual, m, grid=None, rho=1.0, tol=None, max_iter=5000
         if int((res.alpha > 0).sum()) >= m:
             break
     order = np.argsort(-res.alpha, kind="stable")
-    return SupportEstimate(indices=np.sort(order[:m]), scores=res.alpha, method="glasso")
+    return np.sort(order[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +562,24 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None,
     tau^2, sdp-multi multiplies the two half-averages.  glasso, hard and lse
     work on the averaged copy.  Returns (indices, solution): the support in
     original node numbering (through kept, the screening map, when given)
-    and the SdpSolution of an SDP method, else None.
+    and the SdpSolution of an SDP method, else None.  Non-finite residuals
+    raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown support method {method!r}; use one of {', '.join(METHODS)}")
     copies = [residuals] if isinstance(residuals, np.ndarray) else list(residuals)
     avg = copies[0] if len(copies) == 1 else np.mean(np.stack(copies), axis=0)
+    # a NaN or inf in any copy reaches the average
+    if not np.isfinite(avg).all():
+        raise ValueError("residuals must be finite")
     sol = None
     if method == "glasso":
         grid = lambda_grid(avg, num=grid_size, floor_ratio=floor_ratio)
-        est = group_lasso_support(avg, m, grid=grid, rho=rho, tol=tol, max_iter=max_iter)
+        idx = group_lasso_support(avg, m, grid=grid, rho=rho, tol=tol, max_iter=max_iter)
     elif method == "hard":
-        est = hard_threshold(avg, m)
+        idx = hard_threshold(avg, m)
     elif method == "lse":
-        est = exhaustive_support(avg, m)
+        idx = exhaustive_support(avg, m)
     else:
         if method == "sdp":
             cost = build_cost(avg)
@@ -630,6 +588,5 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None,
         else:
             cost = build_cost(copies, mode="multi")
         sol = solve_sdp(cost, m, opts=opts, rng=rng)
-        est = extract_support(sol, m)
-    indices = est.indices if kept is None else np.asarray(kept, dtype=int)[est.indices]
-    return indices, sol
+        idx = extract_support(sol, m)
+    return (idx if kept is None else np.asarray(kept, dtype=int)[idx]), sol

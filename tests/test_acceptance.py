@@ -134,8 +134,8 @@ def oracle_equivalence_solutions():
                 y = b + w
             sol = solve_sdp(build_cost(y), m, rng=np.random.default_rng(seed))
             solutions.append(sol)
-            sdp_idx = extract_support(sol, m).indices
-            lse_idx = exhaustive_support(y, m).indices
+            sdp_idx = extract_support(sol, m)
+            lse_idx = exhaustive_support(y, m)
             agree += bool(np.array_equal(sdp_idx, lse_idx))
         tallies["noisy" if noisy else "clean"] = agree
     elapsed = time.monotonic() - start
@@ -262,13 +262,13 @@ def test_noiseless_end_to_end_recovery():
     # planted support: recover it, mask it, and refine the complement block
     resid = form_residual(obs.g1[0], dec)
     est = extract_support(solve_sdp(build_cost(resid), m), m)
-    assert np.array_equal(est.indices, sup)
-    masked = [mask_support(y, est.indices) for y in obs.g0]
+    assert np.array_equal(est, sup)
+    masked = [mask_support(y, est) for y in obs.g0]
     comp = asymmetric_combine(masked[0], masked[1])
     adec = asymmetric_eigenpairs(comp, r)
     corr = eigenspace_correction(adec, masked[0], masked[1])
     m2 = whitened_reconstruction(adec, corr)
-    target = mask_support(mstar, est.indices)
+    target = mask_support(mstar, est)
     assert entry_error(m2, target) <= 1e-6 * scale
 
 

@@ -90,13 +90,18 @@ def test_recover_exhaustive_on_a_tiny_set(tmp_path):
     ["--sdp-rank", "0"], ["--sdp-rank", "-1"], ["--sdp-restarts", "0"],
     ["--sdp-feas-tol", "0"], ["--gl-grid", "0"], ["--gl-rho", "0"],
     ["--gl-max-iter", "0"], ["--m", "0"], ["--m", "60"],
+    ["--mu", "'x'"], ["--mu", "[1]"],
 ])
-def test_recover_bad_settings_exit_one(dataset, capsys, flags):
-    method = "glasso" if flags[0].startswith("--gl") else "sdp"
-    m = [] if flags[0] == "--m" else ["--m", "4"]
-    rc = main(["recover", "--y1", str(dataset / "y1_00.txt"),
-               "--y0", str(dataset / "y0_00.txt"), "--rank", "2",
-               "--method", method, *m, *flags])
+def test_recover_bad_settings_exit_one(dataset, tmp_path, capsys, flags):
+    if flags[0] == "--mu":  # a generate rule that is not a number
+        argv = ["generate", "--n", "20", "--out-dir", str(tmp_path), *flags]
+    else:
+        method = "glasso" if flags[0].startswith("--gl") else "sdp"
+        m = [] if flags[0] == "--m" else ["--m", "4"]
+        argv = ["recover", "--y1", str(dataset / "y1_00.txt"),
+                "--y0", str(dataset / "y0_00.txt"), "--rank", "2",
+                "--method", method, *m, *flags]
+    rc = main(argv)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -247,6 +252,23 @@ def test_experiment_config_file_and_set(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "mean=0.0000" in text
     assert main(["experiment", "--config", str(cfg), "--set", "bogus"]) == 1
+
+    # --set beats --timing, which beats the file; named flags override the file
+    cfg.write_text("preset = exp-snr\nn = 80\ntrials = 1\nparams = 2.0\n"
+                   "methods = sdp\nseed = 3\ntiming = 0\n")
+    out = tmp_path / "rows.csv"
+
+    def runtimes(*flags):
+        assert main(["experiment", "--config", str(cfg), "--methods", "hard",
+                     "--out", str(out), *flags]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["hard"]
+        return [float(row.split(",")[5]) for row in rows]
+
+    assert runtimes() == [0.0]
+    assert runtimes("--timing")[0] > 0
+    assert runtimes("--timing", "--set", "timing=0") == [0.0]
+    assert runtimes("--set", "timing=1")[0] > 0
 
 
 def test_experiment_bad_config_path():

@@ -45,6 +45,10 @@ def test_eval_rule_rejects_unknown_names_and_syntax():
         eval_rule("n +", n=1)
     with pytest.raises(ConfigError):
         eval_rule("unknown_var + 1")
+    with pytest.raises(ConfigError):
+        eval_rule("'x'")
+    with pytest.raises(ConfigError):
+        eval_rule("[1]")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +289,18 @@ def test_refine_preset_points_respect_sampler_cap():
         build_plan(cfg)
     with pytest.raises(ConfigError, match="lmin"):
         build_plan(config_from_mapping({"preset": "exp-refine", "params": "mu=2"}))
+
+
+@pytest.mark.parametrize("preset,match", [
+    ("exp-glfail", "n >= 100"),
+    ("exp-coherence", r"point 'mu=sqrt\(n\)\*log\(n\)\|screen=on' at n=60"),
+    ("exp-eigengap", r"exp-eigengap mu at n=60"),
+], ids=["exp-glfail", "exp-coherence", "exp-eigengap"])
+def test_presets_reject_points_the_samplers_reject(preset, match):
+    # at n = 60 the decoy construction is too small, and mu = sqrt(n)*log(n)
+    # (an exp-coherence point and the exp-eigengap default) exceeds n/r = 20
+    with pytest.raises(ConfigError, match=match):
+        build_plan(config_from_mapping({"preset": preset, "n": "60"}))
 
 
 def test_multicopy_preset_row_count():

@@ -8,11 +8,9 @@ from netcontrast.refine import (
     debiased_eigenvectors,
     eigenspace_correction,
     entry_error,
-    linear_form_estimate,
     mask_support,
     reconstruct_symmetric,
     spectral_baseline,
-    subspace_error,
     whitened_reconstruction,
 )
 from netcontrast.spectral import _sign_fix
@@ -94,18 +92,6 @@ def test_degenerate_overlap_raises():
     dec = asymmetric_eigenpairs(a, 2)
     with pytest.raises(ValueError):
         debiased_eigenvectors(dec)
-
-
-def test_linear_form_noiseless_and_cap():
-    gt, rng = planted(60, 2, 3)
-    dec = asymmetric_eigenpairs(gt.shared_matrix(), 2)
-    for l in range(2):
-        e5 = np.zeros(60)
-        e5[5] = 1.0
-        assert np.isclose(linear_form_estimate(dec, e5, l), abs(gt.basis[5, l]), atol=1e-9)
-        a = rng.standard_normal(60)
-        assert np.isclose(linear_form_estimate(dec, a, l), abs(a @ gt.basis[:, l]), atol=1e-7)
-        assert linear_form_estimate(dec, a, l) <= np.linalg.norm(a)
 
 
 def test_debiased_eigenvectors_noiseless_identity():
@@ -193,34 +179,6 @@ def test_spectral_baseline_is_rank_truncation():
     order = np.argsort(-np.abs(vals))[:5]
     oracle = (vecs[:, order] * vals[order]) @ vecs[:, order].T
     assert np.allclose(spectral_baseline(mats, 5), oracle, atol=1e-10)
-
-
-def test_subspace_error_sign_and_rotation_invariance():
-    gt, rng = planted(60, 3, 12)
-    u = gt.basis
-    assert subspace_error(u @ np.diag([-1.0, 1.0, 1.0]), u) == 0.0
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    assert subspace_error(u @ q, u) <= 1e-8
-
-
-def test_subspace_error_matches_sign_bruteforce():
-    import itertools
-
-    gt, rng = planted(40, 3, 13)
-    u = gt.basis
-    uest = u @ np.diag([1.0, -1.0, 1.0]) + 1e-3 * rng.standard_normal((40, 3))
-    brute = min(
-        float(np.max(np.linalg.norm(uest @ np.diag(s) - u, axis=1)))
-        for s in itertools.product((1.0, -1.0), repeat=3)
-    )
-    got = subspace_error(uest, u)
-    assert got <= brute + 1e-12
-    assert abs(got - brute) < 1e-4
-
-
-def test_subspace_error_shape_guard():
-    with pytest.raises(ValueError):
-        subspace_error(np.zeros((5, 2)), np.zeros((5, 3)))
 
 
 def test_entry_error():

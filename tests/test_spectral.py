@@ -56,6 +56,14 @@ def test_spectral_init_rank_zero():
     assert np.allclose(dec.reconstruct(), 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_init_rejects_non_finite_input(bad):
+    y = np.eye(5)
+    y[1, 3] = y[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        spectral_init([np.eye(5), y], 2)
+
+
 def test_spectral_init_sign_convention_deterministic():
     gt, rng = planted(50, 2, np.log(50.0), 2)
     m = gt.shared_matrix()

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from netcontrast import support
 from netcontrast.model import sample_node_sparse
 from netcontrast.support import (
-    CostMatrix,
     SdpOptions,
     build_cost,
-    estimate_perturbation,
     exhaustive_support,
     extract_support,
     false_negative_rate,
@@ -50,9 +48,7 @@ def planted_residual(n, m, sigma_b, seed, sigma=0.0):
 
 def test_cost_single_is_entrywise_square():
     y = rng_of(0).standard_normal((7, 7))
-    c = build_cost(y)
-    assert c.mode == "single"
-    assert np.array_equal(c.matrix, y * y)
+    assert np.array_equal(build_cost(y), y * y)
 
 
 def test_cost_single_averages_copies():
@@ -60,15 +56,14 @@ def test_cost_single_averages_copies():
     mats = [rng.standard_normal((5, 5)) for _ in range(3)]
     c = build_cost(mats)
     avg = sum(mats) / 3
-    assert np.allclose(c.matrix, avg * avg)
+    assert np.allclose(c, avg * avg)
 
 
 def test_cost_truncated_caps_at_tau_squared():
     y = np.array([[0.0, 3.0], [3.0, 0.5]])
     c = build_cost(y, mode="truncated", tau=1.0)
-    assert c.matrix.max() <= 1.0
-    assert np.allclose(c.matrix, [[0.0, 1.0], [1.0, 0.25]])
-    assert c.tau == 1.0
+    assert c.max() <= 1.0
+    assert np.allclose(c, [[0.0, 1.0], [1.0, 0.25]])
 
 
 def test_cost_truncated_needs_positive_tau():
@@ -84,8 +79,8 @@ def test_cost_multi_is_product_of_half_averages():
     mats = [rng.standard_normal((4, 4)) for _ in range(3)]
     c = build_cost(mats, mode="multi")
     expect = (mats[0] + mats[1]) / 2 * mats[2]
-    assert np.allclose(c.matrix, expect)
-    assert c.matrix.min() < 0  # cross products keep sign
+    assert np.allclose(c, expect)
+    assert c.min() < 0  # cross products keep sign
 
 
 def test_cost_multi_needs_two_copies():
@@ -105,8 +100,7 @@ def test_sdp_recovers_planted_support_noiseless():
     resid, sup = planted_residual(60, 5, 1.0, 3)
     sol = solve_sdp(build_cost(resid), 5)
     assert sol.converged
-    est = extract_support(sol, 5)
-    assert np.array_equal(est.indices, sup)
+    assert np.array_equal(extract_support(sol, 5), sup)
 
 
 def test_sdp_residuals_within_tolerance_when_converged():
@@ -143,9 +137,9 @@ def test_sdp_deterministic_given_seed():
 def test_sdp_support_invariant_to_cost_scale():
     resid, _ = planted_residual(30, 3, 1.0, 7, sigma=1.0)
     c = build_cost(resid)
-    a = extract_support(solve_sdp(c.matrix, 3, rng=rng_of(1)), 3)
-    b = extract_support(solve_sdp(7.25 * c.matrix, 3, rng=rng_of(1)), 3)
-    assert np.array_equal(a.indices, b.indices)
+    a = extract_support(solve_sdp(c, 3, rng=rng_of(1)), 3)
+    b = extract_support(solve_sdp(7.25 * c, 3, rng=rng_of(1)), 3)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("field", ["factor_rank", "restarts", "max_inner", "max_outer"])
@@ -167,7 +161,7 @@ def test_sdp_input_validation():
         solve_sdp(np.zeros((5, 5)), 0)
     with pytest.raises(ValueError):
         solve_sdp(np.zeros((5, 5)), 5)
-    c = build_cost(rng_of(3).standard_normal((6, 6))).matrix
+    c = build_cost(rng_of(3).standard_normal((6, 6)))
     with pytest.raises(ValueError, match="symmetric"):
         solve_sdp(c, 2)
     sym = 0.5 * (c + c.T)
@@ -221,7 +215,7 @@ def test_descent_follows_reference_iterates():
     # trajectory, so only the first steps are compared
     rng = rng_of(12)
     n, p, k = 40, 3, 35.0
-    c = build_cost(symmetric_noise(n, rng)).matrix
+    c = build_cost(symmetric_noise(n, rng))
     c /= np.linalg.norm(c)
     x0 = rng.standard_normal((n, p))
     for steps in (1, 3, 6):
@@ -241,7 +235,7 @@ class _CountingOperator:
 
 def test_sdp_one_cost_product_per_descent_step(monkeypatch):
     rng = rng_of(13)
-    c = build_cost(symmetric_noise(30, rng)).matrix
+    c = build_cost(symmetric_noise(30, rng))
     op = _CountingOperator(c / np.linalg.norm(c))
     x0 = rng.standard_normal((30, 3))
     *_, it, matvecs = support._bb_descent(op, x0, 0.0, 0.0, 1.0, 27.0, 729.0, 0.0, 25)
@@ -271,8 +265,8 @@ def test_sdp_matches_exhaustive_noiseless():
     resid, sup = planted_residual(30, 3, 1.0, 8)
     sdp_est = extract_support(solve_sdp(build_cost(resid), 3), 3)
     lse_est = exhaustive_support(resid, 3, limit=30)
-    assert np.array_equal(sdp_est.indices, sup)
-    assert np.array_equal(lse_est.indices, sup)
+    assert np.array_equal(sdp_est, sup)
+    assert np.array_equal(lse_est, sup)
 
 
 def test_sdp_matches_exhaustive_under_noise():
@@ -282,7 +276,7 @@ def test_sdp_matches_exhaustive_under_noise():
         resid, _ = planted_residual(12, 2, 6.0, 100 + seed, sigma=1.0)
         sdp_est = extract_support(solve_sdp(build_cost(resid), 2, rng=rng_of(seed)), 2)
         lse_est = exhaustive_support(resid, 2)
-        agree += np.array_equal(sdp_est.indices, lse_est.indices)
+        agree += np.array_equal(sdp_est, lse_est)
     assert agree >= 9
 
 
@@ -293,14 +287,12 @@ def test_extract_support_stable_tie_break():
     class Fake:
         row_sums = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
 
-    est = extract_support(Fake(), 2)
-    assert np.array_equal(est.indices, [1, 2])
+    assert np.array_equal(extract_support(Fake(), 2), [1, 2])
 
 
 def test_hard_threshold_picks_largest_rows():
     resid, sup = planted_residual(50, 5, 2.0, 9, sigma=0.3)
-    est = hard_threshold(resid, 5)
-    assert np.array_equal(est.indices, sup)
+    assert np.array_equal(hard_threshold(resid, 5), sup)
     with pytest.raises(ValueError):
         hard_threshold(resid, 0)
 
@@ -311,8 +303,7 @@ def test_exhaustive_limit_guard():
 
 
 def test_exhaustive_lex_smallest_on_ties():
-    est = exhaustive_support(np.zeros((6, 6)), 2)
-    assert np.array_equal(est.indices, [0, 1])
+    assert np.array_equal(exhaustive_support(np.zeros((6, 6)), 2), [0, 1])
 
 
 def test_exhaustive_objective_is_complement_energy():
@@ -328,25 +319,7 @@ def test_exhaustive_objective_is_complement_energy():
 
     import itertools
     vals = {c: energy(c) for c in itertools.combinations(range(8), 2)}
-    assert energy(tuple(est.indices)) == min(vals.values())
-
-
-def test_estimate_perturbation_masks_and_embeds():
-    y = rng_of(11).standard_normal((6, 6))
-    sup = np.array([1, 4])
-    local = estimate_perturbation(y, sup)
-    comp = np.array([0, 2, 3, 5])
-    assert np.array_equal(local[np.ix_(sup, sup)], y[np.ix_(sup, sup)])
-    assert np.array_equal(local[np.ix_(sup, comp)], y[np.ix_(sup, comp)])
-    assert np.all(local[np.ix_(comp, comp)] == 0)
-    kept = np.array([0, 2, 3, 5, 7, 9])
-    out = estimate_perturbation(y, sup, kept=kept, n=10)
-    assert out.shape == (10, 10)
-    assert np.array_equal(out[np.ix_(kept, kept)], local)
-    dropped = np.setdiff1d(np.arange(10), kept)
-    assert np.all(out[dropped, :] == 0)
-    with pytest.raises(ValueError):
-        estimate_perturbation(y, sup, kept=kept)
+    assert energy(tuple(est)) == min(vals.values())
 
 
 def test_false_negative_rate_values():
@@ -368,8 +341,7 @@ def test_select_m_finds_boundary():
     sel = select_m(resid, sigma_hat=1.0, m0=8, c_thresh=3.0, rng=rng_of(0))
     assert sel.converged
     assert sel.m == m_true
-    est = extract_support(solve_sdp(build_cost(resid), sel.m), sel.m)
-    assert np.array_equal(est.indices, sup)
+    assert np.array_equal(extract_support(solve_sdp(build_cost(resid), sel.m), sel.m), sup)
 
 
 def test_select_m_pure_noise_shrinks_to_one():
@@ -528,9 +500,7 @@ def test_path_rejects_bad_grids():
 
 def test_group_lasso_support_recovers_planted():
     resid, sup = planted_residual(40, 4, 2.0, 25, sigma=0.5)
-    est = group_lasso_support(resid, 4)
-    assert np.array_equal(est.indices, sup)
-    assert est.method == "glasso"
+    assert np.array_equal(group_lasso_support(resid, 4), sup)
     with pytest.raises(ValueError):
         group_lasso_support(resid, 0)
 
@@ -554,18 +524,18 @@ def _direct_support(method, copies, m, tau, opts, rng):
     avg = np.mean(np.stack(copies), axis=0)
     if method == "glasso":
         grid = lambda_grid(avg, num=12, floor_ratio=0.7)
-        return group_lasso_support(avg, m, grid=grid, rho=2.0, max_iter=800).indices
+        return group_lasso_support(avg, m, grid=grid, rho=2.0, max_iter=800)
     if method == "hard":
-        return hard_threshold(avg, m).indices
+        return hard_threshold(avg, m)
     if method == "lse":
-        return exhaustive_support(avg, m).indices
+        return exhaustive_support(avg, m)
     if method == "sdp":
         cost = build_cost(avg)
     elif method == "sdp-trunc":
         cost = build_cost(avg, mode="truncated", tau=tau)
     else:
         cost = build_cost(copies, mode="multi")
-    return extract_support(solve_sdp(cost, m, opts=opts, rng=rng), m).indices
+    return extract_support(solve_sdp(cost, m, opts=opts, rng=rng), m)
 
 
 @pytest.mark.parametrize("method", support.METHODS)
@@ -593,3 +563,12 @@ def test_recover_rejects_bad_requests():
         support.recover("sdp-trunc", resid, 2)
     with pytest.raises(ValueError, match="2 residual copies"):
         support.recover("sdp-multi", [resid], 2)
+
+
+@pytest.mark.parametrize("method", support.METHODS)
+def test_recover_rejects_non_finite_residuals(method):
+    resid, _ = planted_residual(12, 2, 3.0, 4, sigma=0.5)
+    bad = resid.copy()
+    bad[2, 5] = bad[5, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        support.recover(method, [resid, bad], 2, tau=1.0)
