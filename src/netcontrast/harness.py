@@ -10,9 +10,11 @@ seed regardless of thread count: every trial derives its generators from
 order.
 """
 
+import ast
 import csv
 import logging
 import math
+import operator
 import time
 
 from concurrent.futures import ThreadPoolExecutor
@@ -39,14 +41,45 @@ _RULE_NAMES = {
 _RULE_NAMES.update(abs=abs, min=min, max=max)
 
 
+_RULE_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+_RULE_MAX_BITS = 1 << 20
+
+
 def eval_rule(expr, **variables):
     """Evaluate a scalar rule like "2*n**(-0.25)*log(n)**0.25".
 
-    Only arithmetic, the math helpers (log, sqrt, ceil, floor, exp, pi, e,
-    abs, min, max), and the supplied variables are visible.
+    The expression may hold int and float literals, the supplied variables,
+    the math helpers (log, log2, log10, sqrt, exp, ceil, floor, pi, e, abs,
+    min, max), binary + - * / **, unary + and -, and calls of the helpers;
+    anything else raises ConfigError.  An integer power whose result would
+    exceed 2**20 bits is refused rather than computed.
     """
+    names = {**_RULE_NAMES, **variables}
+
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPS:
+            left, right = value(node.left), value(node.right)
+            if (isinstance(node.op, ast.Pow) and isinstance(left, int)
+                    and isinstance(right, int) and left.bit_length() * right > _RULE_MAX_BITS):
+                raise ValueError("integer power is too large")
+            return _RULE_OPS[type(node.op)](left, right)
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _RULE_OPS:
+            return _RULE_OPS[type(node.op)](value(node.operand))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _RULE_NAMES and not node.keywords):
+            return names[node.func.id](*[value(arg) for arg in node.args])
+        raise ValueError(f"{type(node).__name__} {ast.unparse(node)!r} is not allowed")
+
     try:
-        return float(eval(expr, {"__builtins__": {}}, {**_RULE_NAMES, **variables}))
+        return float(value(ast.parse(expr, mode="eval").body))
     except Exception as exc:
         raise ConfigError(f"cannot evaluate rule {expr!r}: {exc}") from None
 
@@ -422,6 +455,18 @@ def _rule(o, key, default, n_list, extra=None):
     return expr
 
 
+def _m_rule(o, default, n_list, extra=None):
+    """The support-size rule, after checking that it rounds to 1 <= m < n at
+    every n, as the samplers require."""
+    expr = _rule(o, "m", default, n_list, extra)
+    for n in n_list:
+        m = eval_rule(expr, n=n, **(extra or {}))
+        if not (math.isfinite(m) and 1 <= round(m) < n):
+            raise ConfigError(f"rule m = {expr!r} gives m={m:g} at n={n}; "
+                              "need 1 <= round(m) < n")
+    return expr
+
+
 def _check_mu(what, expr, n_list, r):
     """expr, after checking that it gives a coherence mu in the samplers'
     range [1, n/r] at every n."""
@@ -445,7 +490,7 @@ def _build_snr(cfg):
     settings = solver_settings(o)
     r = int(o.get("r", 3))
     mu_rule = _check_mu("exp-snr mu", o.get("mu", "log(n)"), n_list, r)
-    m_rule = _rule(o, "m", "10", n_list, extra={"r": r})
+    m_rule = _m_rule(o, "10", n_list, extra={"r": r})
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list,
                     extra={"r": r, "C": 1.0})
     eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
@@ -502,7 +547,7 @@ def _build_multicopy(cfg):
     params = cfg.params or ("3.2",)
     o = cfg.options
     settings = solver_settings(o)
-    m_rule = _rule(o, "m", "ceil(2*log(n))", n_list)
+    m_rule = _m_rule(o, "ceil(2*log(n))", n_list)
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list, extra={"C": 1.0})
     noise = _noise_from(o, "gaussian-row-hetero")
 
@@ -526,7 +571,7 @@ def _build_heavytail(cfg):
     params = cfg.params or ("2.0",)
     o = cfg.options
     settings = solver_settings(o)
-    m_rule = _rule(o, "m", "ceil(2*log(n))", n_list)
+    m_rule = _m_rule(o, "ceil(2*log(n))", n_list)
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list, extra={"C": 1.0})
     noise = _noise_from(o, "scaled-t4")
 
@@ -572,7 +617,7 @@ def _build_coherence(cfg):
         if "mu" not in fields:
             raise ConfigError(f"exp-coherence point {param!r} needs mu=...")
         _check_mu(f"exp-coherence point {param!r}", fields["mu"], n_list, r)
-    m_rule = _rule(o, "m", "10", n_list, extra={"r": r})
+    m_rule = _m_rule(o, "10", n_list, extra={"r": r})
     sb_rule = _rule(o, "sigma_b", "2 * n**(-0.25) * log(n)**0.25", n_list, extra={"r": r})
     eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
     noise = _noise_from(o, "gaussian-iid")
@@ -706,7 +751,7 @@ def _build_path(cfg):
     _, gl = solver_settings({"gl_grid": 60, **o})
     grid_size, floor = gl.pop("grid_size"), gl.pop("floor_ratio")
     params = cfg.params or tuple(f"t{t:02d}" for t in range(grid_size))
-    m_rule = _rule(o, "m", "5", n_list)
+    m_rule = _m_rule(o, "5", n_list)
     sb_rule = _rule(o, "sigma_b", "1.9 * n**(-0.25) * log(n)**0.25", n_list)
     noise = _noise_from(o, "gaussian-iid")
 

@@ -50,21 +50,36 @@ def asymmetric_eigenpairs(mat, rank):
     vectors get the usual sign convention (first largest-magnitude entry
     nonnegative) and each left vector is flipped so its overlap with the
     matching right vector is positive.
+
+    The pairs come from two ARPACK solves (on mat and mat.T) from a fixed
+    seeded start vector, matched by value order; LinAlgError is raised
+    when a matched left value differs from its right value by more than
+    1e-6 relative.  The dense decomposition runs only when ARPACK cannot
+    (rank >= n - 1) or raises an ArpackError.  Non-finite input raises
+    ValueError.
     """
     mat = np.asarray(mat, dtype=float)
     nt = mat.shape[0]
     if not 1 <= rank <= nt:
         raise ValueError(f"need 1 <= rank <= n, got rank={rank}")
-    w, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
-    order = np.argsort(-np.abs(w), kind="stable")[:rank]
-    w = w[order]
-    vl = vl[:, order]
-    vr = vr[:, order]
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix must be finite")
+    pairs = _partial_eigenpairs(mat, rank) if rank < nt - 1 else None
+    if pairs is None:
+        w, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
+        order = np.argsort(-np.abs(w), kind="stable")[:rank]
+        wl = w = w[order]
+        vl = vl[:, order]
+        vr = vr[:, order]
+    else:
+        w, vr, wl, vl = pairs
     bad = np.abs(w.imag) > 1e-6 * np.maximum(np.abs(w), 1e-300)
     if np.any(bad):
         raise np.linalg.LinAlgError(
             f"top-{rank} eigenvalues are not real: {w[bad]}"
         )
+    if np.any(np.abs(wl - w) > 1e-6 * np.abs(w)):
+        raise np.linalg.LinAlgError(f"left eigenvalues {wl} do not pair with right {w}")
     w = w.real
     vl = vl.real.copy()
     vr = vr.real.copy()
@@ -74,6 +89,28 @@ def asymmetric_eigenpairs(mat, rank):
     flip = np.where(np.sum(vl * vr, axis=0) < 0, -1.0, 1.0)
     vl *= flip
     return RankDecomposition(right=vr, left=vl, values=w)
+
+
+def _partial_eigenpairs(mat, rank):
+    """(values, right, left values, left) of the top-rank pairs by magnitude
+    from ARPACK, left matched to right by value order; None when ARPACK
+    fails."""
+    # imported here: recover never reaches stage 3 and need not load ARPACK
+    import scipy.sparse.linalg
+
+    v0 = np.random.default_rng(0).standard_normal(mat.shape[0])
+    try:
+        w, vr = scipy.sparse.linalg.eigs(mat, k=rank, which="LM", v0=v0)
+        wl, vl = scipy.sparse.linalg.eigs(mat.T, k=rank, which="LM", v0=v0)
+    except scipy.sparse.linalg.ArpackError:
+        logger.debug("ARPACK failed; using the dense eigendecomposition", exc_info=True)
+        return None
+    # pair the j-th smallest left value with the j-th smallest right one, so
+    # that l and -l, tied in magnitude, still meet their own partners
+    right, left = np.argsort(w.real), np.argsort(wl.real)
+    order = np.argsort(-np.abs(w[right]), kind="stable")
+    right, left = right[order], left[order]
+    return w[right], vr[:, right], wl[left], vl[:, left]
 
 
 def _overlaps(dec):

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netcontrast
 from netcontrast.cli import main
 from netcontrast.matio import read_matrix, write_matrix
 
@@ -55,6 +61,29 @@ def test_recover_sdp_finds_planted_support(dataset, tmp_path):
     sdp = rec["sdp"]
     assert 0 < sdp["iterations"] <= sdp["total_iterations"] <= sdp["matvecs"]
     assert rec["tau"] is not None and 0.2 < rec["tau"] < 3.0
+
+
+def test_recover_does_not_load_arpack(tmp_path):
+    # ARPACK is only for the stage-3 eigensolves; a fresh process is needed
+    # because other tests load scipy.sparse.linalg into this one
+    script = (
+        "import sys\n"
+        "from netcontrast.cli import main\n"
+        f"d = {str(tmp_path)!r}\n"
+        "assert main(['generate', '--n', '40', '--r', '2', '--m', '3', '--sigma-b', '3',\n"
+        "             '--g0', '2', '--g1', '1', '--seed', '1', '--out-dir', d]) == 0\n"
+        "assert main(['recover', '--y1', d + '/y1_00.txt', '--y0', d + '/y0_00.txt',\n"
+        "             d + '/y0_01.txt', '--rank', '2', '--m', '3', '--method', 'sdp',\n"
+        "             '--out', d + '/rec.json']) == 0\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    src = str(Path(netcontrast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "rec.json").read_text())["support"]
 
 
 def test_recover_other_methods_agree(dataset, tmp_path):

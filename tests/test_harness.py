@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from netcontrast.harness import (
+    _RULE_NAMES,
     ConfigError,
     ExperimentConfig,
     bootstrap_ci,
@@ -49,6 +53,69 @@ def test_eval_rule_rejects_unknown_names_and_syntax():
         eval_rule("'x'")
     with pytest.raises(ConfigError):
         eval_rule("[1]")
+
+
+# Rule expressions as strings.  Exponents are leaves, so integer powers stay
+# small enough for Python itself to evaluate.
+_LEAVES = st.one_of(
+    st.integers(0, 9).map(str),
+    st.sampled_from(["0.5", "2.5", "1e-3", "n", "r", "pi", "e"]),
+)
+_RULE_EXPRS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(inner, _LEAVES).map(lambda t: f"({t[0]})**{t[1]}"),
+        st.tuples(st.sampled_from(["-", "+"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["log", "log2", "log10", "sqrt", "exp", "ceil",
+                                   "floor", "abs"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["min", "max"]), inner, inner).map(
+            lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+    ),
+    max_leaves=8,
+)
+
+
+def _python_value(expr, **variables):
+    try:
+        return float(eval(expr, {"__builtins__": {}}, {**_RULE_NAMES, **variables}))
+    except Exception:
+        return "error"
+
+
+def _rule_value(expr, **variables):
+    try:
+        return eval_rule(expr, **variables)
+    except ConfigError:
+        return "error"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RULE_EXPRS)
+def test_eval_rule_agrees_with_python_on_allowed_expressions(expr):
+    want = _python_value(expr, n=400, r=3)
+    got = _rule_value(expr, n=400, r=3)
+    assert got == want or (got != got and want != want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RULE_EXPRS, st.sampled_from([
+    "({}).real", "({})[0]", "(lambda: {})()", "[{} for x in (1,)][0]",
+    "sum({} for x in (1,))", "{{{} for x in (1,)}}", "({}).__class__",
+]))
+def test_eval_rule_rejects_disallowed_nodes(expr, template):
+    with pytest.raises(ConfigError, match="not allowed"):
+        eval_rule(template.format(expr), n=400, r=3)
+
+
+def test_eval_rule_rejects_escapes_and_huge_powers():
+    with pytest.raises(ConfigError, match="not allowed"):
+        eval_rule("().__class__.__base__.__subclasses__()")
+    with pytest.raises(ConfigError, match="not allowed"):
+        eval_rule("True + 1")
+    with pytest.raises(ConfigError, match="too large"):
+        eval_rule("9**9**9")
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +343,17 @@ def test_refine_preset_smoke():
         assert math.isnan(r.value) or r.value >= 0
 
 
+def test_refine_preset_csv_bytes_identical_across_thread_counts(tmp_path):
+    cfg = config_from_mapping({"preset": "exp-refine", "n": "120", "trials": "2",
+                               "seed": "4", "params": "mu=sqrt(n)|lmin=2.05,mu=log(n)|lmin=3"})
+    paths = []
+    for threads in (1, 2):
+        paths.append(tmp_path / f"refine{threads}.csv")
+        write_results(run_experiment(cfg, threads=threads), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert "nan" not in paths[0].read_text()
+
+
 def test_refine_preset_points_respect_sampler_cap():
     # the default grid includes mu = n^(5/6), which needs n >= 729 at r = 3
     plan = build_plan(config_from_mapping({"preset": "exp-refine"}))
@@ -291,16 +369,26 @@ def test_refine_preset_points_respect_sampler_cap():
         build_plan(config_from_mapping({"preset": "exp-refine", "params": "mu=2"}))
 
 
-@pytest.mark.parametrize("preset,match", [
-    ("exp-glfail", "n >= 100"),
-    ("exp-coherence", r"point 'mu=sqrt\(n\)\*log\(n\)\|screen=on' at n=60"),
-    ("exp-eigengap", r"exp-eigengap mu at n=60"),
-], ids=["exp-glfail", "exp-coherence", "exp-eigengap"])
-def test_presets_reject_points_the_samplers_reject(preset, match):
+@pytest.mark.parametrize("over,match", [
+    ({"preset": "exp-glfail"}, "n >= 100"),
+    ({"preset": "exp-coherence"}, r"point 'mu=sqrt\(n\)\*log\(n\)\|screen=on' at n=60"),
+    ({"preset": "exp-eigengap"}, r"exp-eigengap mu at n=60"),
+    ({"preset": "exp-snr", "n": "10", "params": "2.0"}, "gives m=10 at n=10"),
+    ({"preset": "exp-snr", "m": "0.4"}, "gives m=0.4 at n=60"),
+    ({"preset": "exp-snr", "m": "1e308 * 10"}, "gives m=inf at n=60"),
+    ({"preset": "exp-multicopy", "n": "3"}, r"rule m = 'ceil\(2\*log\(n\)\)' gives m=3 at n=3"),
+    ({"preset": "exp-heavytail", "n": "3"}, "gives m=3 at n=3"),
+    ({"preset": "exp-coherence", "n": "10", "params": "mu=1|screen=on"}, "gives m=10 at n=10"),
+    ({"preset": "exp-path", "n": "5"}, "gives m=5 at n=5"),
+], ids=["exp-glfail", "exp-coherence", "exp-eigengap", "exp-snr-m", "exp-snr-m-rounds-to-0",
+        "exp-snr-m-inf", "exp-multicopy-m", "exp-heavytail-m", "exp-coherence-m",
+        "exp-path-m"])
+def test_presets_reject_points_the_samplers_reject(over, match):
     # at n = 60 the decoy construction is too small, and mu = sqrt(n)*log(n)
-    # (an exp-coherence point and the exp-eigengap default) exceeds n/r = 20
+    # (an exp-coherence point and the exp-eigengap default) exceeds n/r = 20;
+    # the samplers need a support size 1 <= m < n
     with pytest.raises(ConfigError, match=match):
-        build_plan(config_from_mapping({"preset": preset, "n": "60"}))
+        build_plan(config_from_mapping({"n": "60", **over}))
 
 
 def test_multicopy_preset_row_count():

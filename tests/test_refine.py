@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from netcontrast.model import GroundTruth, sample_incoherent_basis
 from netcontrast.refine import (
@@ -84,6 +86,131 @@ def test_asymmetric_eigenpairs_rejects_complex_spectrum():
         asymmetric_eigenpairs(rot, 1)
     with pytest.raises(ValueError):
         asymmetric_eigenpairs(np.eye(3), 0)
+
+
+def dense_reference(mat, rank):
+    # the full decomposition with the sign conventions of asymmetric_eigenpairs
+    w, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
+    order = np.argsort(-np.abs(w), kind="stable")[:rank]
+    w, vl, vr = w[order].real, vl[:, order].real, vr[:, order].real
+    vr = _sign_fix(vr / np.linalg.norm(vr, axis=0))
+    vl = vl / np.linalg.norm(vl, axis=0)
+    vl *= np.where(np.sum(vl * vr, axis=0) < 0, -1.0, 1.0)
+    return w, vr, vl
+
+
+def no_dense_eig(*args, **kwargs):
+    raise AssertionError("dense eig reached")
+
+
+def refine_composite(n, seed):
+    # an exp-refine point (mu = n^0.8 capped at n/4 for small n, smallest
+    # eigenvalue 2.05 sqrt(n)) spliced from two noisy views
+    gt, rng = planted(n, 3, seed, mu=min(n ** 0.8, n / 4), spread=(2.05 * np.sqrt(n) + 2 * np.log(n),
+                                                       2.05 * np.sqrt(n) + np.log(n),
+                                                       2.05 * np.sqrt(n)))
+    m = gt.shared_matrix()
+    return asymmetric_combine(noisy_copy(m, rng), noisy_copy(m, rng))
+
+
+def test_asymmetric_eigenpairs_partial_matches_dense():
+    comp = refine_composite(200, 12)
+    dec = asymmetric_eigenpairs(comp, 3)
+    w, vr, vl = dense_reference(comp, 3)
+    assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
+    assert np.abs(dec.right - vr).max() < 1e-8
+    assert np.abs(dec.left - vl).max() < 1e-8
+
+
+def test_asymmetric_eigenpairs_skips_dense_solve_below_n_minus_one(monkeypatch):
+    comp = refine_composite(40, 13)
+    w, vr, _ = dense_reference(comp, 3)
+    monkeypatch.setattr(scipy.linalg, "eig", no_dense_eig)
+    assert np.allclose(asymmetric_eigenpairs(comp, 3).values, w, rtol=1e-10, atol=0)
+    with pytest.raises(AssertionError, match="dense eig reached"):
+        asymmetric_eigenpairs(comp[:4, :4], 3)  # ARPACK needs rank < n - 1
+
+
+def test_asymmetric_eigenpairs_ones_in_null_space(monkeypatch):
+    # a start vector of ones lies in the null space here and stalls ARPACK,
+    # so the seeded start must find the pairs without the dense fallback
+    n = 48
+    u = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / np.sqrt(n)
+    v = np.where(np.arange(n) % 4 < 2, 1.0, -1.0) / np.sqrt(n)
+    mat = 50.0 * np.outer(u, u) + 30.0 * np.outer(v, v)
+    assert np.allclose(mat @ np.ones(n), 0.0)
+    w, vr, vl = dense_reference(mat, 2)
+    monkeypatch.setattr(scipy.linalg, "eig", no_dense_eig)
+    dec = asymmetric_eigenpairs(mat, 2)
+    assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
+    assert np.abs(dec.right - vr).max() < 1e-8
+    assert np.abs(dec.left - vl).max() < 1e-8
+
+
+def test_asymmetric_eigenpairs_dense_fallback_on_arpack_error(monkeypatch):
+    comp = refine_composite(60, 14)
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(kwargs["k"])
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                      np.empty((60, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    dec = asymmetric_eigenpairs(comp, 3)
+    assert calls == [3]
+    w, vr, vl = dense_reference(comp, 3)
+    assert np.allclose(dec.values, w, rtol=1e-14, atol=0)
+    assert np.abs(dec.right - vr).max() < 1e-12
+    assert np.abs(dec.left - vl).max() < 1e-12
+
+
+def test_asymmetric_eigenpairs_partial_rejects_complex_spectrum():
+    # top pair +-9i from a rotation block, well above the rest of the spectrum
+    mat = np.diag(np.linspace(1.0, 2.0, 12))
+    mat[:2, :2] = [[0.0, 9.0], [-9.0, 0.0]]
+    with pytest.raises(np.linalg.LinAlgError, match="not real"):
+        asymmetric_eigenpairs(mat, 2)
+
+
+def test_asymmetric_eigenpairs_pairs_values_tied_in_magnitude():
+    # eigenvalues 5 and -5 tie in magnitude; ARPACK may list them in another
+    # order for the transpose, and each left vector must still meet its own
+    # right vector
+    n = 30
+    for seed in range(6):
+        rng = rng_of(seed)
+        s = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        vals = np.concatenate([[5.0, -5.0], rng.uniform(-1.0, 1.0, n - 2)])
+        mat = (s * vals) @ np.linalg.inv(s)
+        dec = asymmetric_eigenpairs(mat, 2)
+        w, vr, vl = dense_reference(mat, 2)
+        for j in range(2):
+            k = np.argmin(np.abs(w - dec.values[j]))
+            assert abs(dec.values[j] - w[k]) < 1e-10
+            assert np.abs(dec.right[:, j] - vr[:, k]).max() < 1e-8
+            assert np.abs(dec.left[:, j] - vl[:, k]).max() < 1e-8
+
+
+def test_asymmetric_eigenpairs_rejects_unpaired_left_values(monkeypatch):
+    # the left solve (on the transpose) reports other values than the right one
+    eigs = scipy.sparse.linalg.eigs
+
+    def shifted_on_transpose(mat, **kwargs):
+        w, v = eigs(mat, **kwargs)
+        return (w + 1.0 if mat.flags.f_contiguous else w), v
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", shifted_on_transpose)
+    with pytest.raises(np.linalg.LinAlgError, match="do not pair"):
+        asymmetric_eigenpairs(refine_composite(40, 15), 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_asymmetric_eigenpairs_rejects_non_finite_input(bad):
+    y = np.eye(6)
+    y[1, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        asymmetric_eigenpairs(y, 2)
 
 
 def test_degenerate_overlap_raises():
