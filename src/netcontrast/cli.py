@@ -188,17 +188,18 @@ def _cmd_recover(args):
         raise ConfigError(str(exc)) from None
     n = y1s[0].shape[0]
     rank = args.rank
+    if rank < 0:
+        raise ConfigError(f"--rank must be >= 0, got {rank}")
     if rank > 0 and not y0s:
         raise ConfigError("--rank > 0 needs at least one control matrix (--y0)")
     base = y0s if y0s else [y1s[0]]
-    dec = spectral.spectral_init(base, rank)
-    if args.no_screen:
-        kept = None
-        resids = [spectral.form_residual(y, dec) for y in y1s]
-    else:
-        screening = spectral.select_low_coherence(dec, args.c_screen)
-        kept = screening.kept
-        resids = [spectral.form_residual(y, dec, screening) for y in y1s]
+    try:
+        dec = spectral.spectral_init(base, rank)
+        screening = None if args.no_screen else spectral.select_low_coherence(dec, args.c_screen)
+    except ValueError as exc:
+        raise ConfigError(f"stage 1: {exc}") from None
+    kept = None if screening is None else screening.kept
+    resids = [spectral.form_residual(y, dec, screening) for y in y1s]
     try:
         tau = spectral.estimate_noise_scale(base[0], dec)
     except ValueError:
@@ -260,6 +261,8 @@ def _cmd_refine(args):
         truth = matio.read_matrix(args.truth) if args.truth else None
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    if args.rank < 0:
+        raise ConfigError(f"--rank must be >= 0, got {args.rank}")
     sup = _parse_indices(args.support)
     masked1 = [refine.mask_support(y, sup) for y in y1s]
     masked0 = [refine.mask_support(y, sup) for y in y0s]

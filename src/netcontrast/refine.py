@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .spectral import RankDecomposition, _sign_fix, spectral_init
+from .spectral import RankDecomposition, _average, _sign_fix, spectral_init
 
 logger = logging.getLogger(__name__)
 
@@ -91,20 +91,32 @@ def asymmetric_eigenpairs(mat, rank):
     return RankDecomposition(right=vr, left=vl, values=w)
 
 
+def _arpack_top(mat, rank, symmetric=False):
+    """(values, vectors) of the top-rank eigenpairs by magnitude from ARPACK
+    (eigsh when symmetric, else eigs), started from a fixed seeded vector;
+    None after an ArpackError, so the caller can fall back to a dense
+    solve."""
+    # imported here: recover never reaches refine and need not load ARPACK
+    import scipy.sparse.linalg
+
+    solve = scipy.sparse.linalg.eigsh if symmetric else scipy.sparse.linalg.eigs
+    v0 = np.random.default_rng(0).standard_normal(mat.shape[0])
+    try:
+        return solve(mat, k=rank, which="LM", v0=v0)
+    except scipy.sparse.linalg.ArpackError:
+        logger.debug("ARPACK failed; using the dense eigendecomposition", exc_info=True)
+        return None
+
+
 def _partial_eigenpairs(mat, rank):
     """(values, right, left values, left) of the top-rank pairs by magnitude
     from ARPACK, left matched to right by value order; None when ARPACK
     fails."""
-    # imported here: recover never reaches stage 3 and need not load ARPACK
-    import scipy.sparse.linalg
-
-    v0 = np.random.default_rng(0).standard_normal(mat.shape[0])
-    try:
-        w, vr = scipy.sparse.linalg.eigs(mat, k=rank, which="LM", v0=v0)
-        wl, vl = scipy.sparse.linalg.eigs(mat.T, k=rank, which="LM", v0=v0)
-    except scipy.sparse.linalg.ArpackError:
-        logger.debug("ARPACK failed; using the dense eigendecomposition", exc_info=True)
+    rpairs = _arpack_top(mat, rank)
+    lpairs = None if rpairs is None else _arpack_top(mat.T, rank)
+    if lpairs is None:
         return None
+    (w, vr), (wl, vl) = rpairs, lpairs
     # pair the j-th smallest left value with the j-th smallest right one, so
     # that l and -l, tied in magnitude, still meet their own partners
     right, left = np.argsort(w.real), np.argsort(wl.real)
@@ -181,8 +193,21 @@ def whitened_reconstruction(dec, correction):
 
 
 def spectral_baseline(mats, rank):
-    """Plain rank-r truncation of the (averaged) symmetric observations."""
-    return spectral_init(mats, rank).reconstruct()
+    """Plain rank-r truncation of the (averaged) symmetric observations.
+
+    The top-rank pairs by magnitude come from one ARPACK eigsh solve from
+    the seeded start of asymmetric_eigenpairs.  The dense spectral_init
+    runs only for rank < 1, rank >= n - 1 or after an ArpackError.
+    Non-finite input and a rank outside [0, n] raise ValueError.
+    """
+    mean = _average(mats)
+    n = mean.shape[0]
+    pairs = _arpack_top(mean, rank, symmetric=True) if 1 <= rank < n - 1 else None
+    if pairs is None:
+        return spectral_init(mean, rank).reconstruct()
+    w, v = pairs
+    order = np.argsort(-np.abs(w), kind="stable")
+    return reconstruct_symmetric(v[:, order], w[order])
 
 
 def entry_error(a, b):

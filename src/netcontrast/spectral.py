@@ -42,6 +42,31 @@ def _sign_fix(vecs):
     return vecs
 
 
+def _average(mats):
+    """Elementwise mean of one square matrix or a list of equal-shape ones.
+
+    Summed in order and divided by the count, which is bit for bit
+    np.mean(np.stack(mats), axis=0) without the stacked copy.  Raises
+    ValueError on an empty list, unequal or non-square shapes, or a
+    non-finite mean.
+    """
+    mats = mats if isinstance(mats, (list, tuple)) else [mats]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    total = np.array(mats[0], dtype=float)
+    if total.ndim != 2 or total.shape[0] != total.shape[1]:
+        raise ValueError(f"matrices must be square, got shape {total.shape}")
+    for y in mats[1:]:
+        y = np.asarray(y, dtype=float)
+        if y.shape != total.shape:
+            raise ValueError(f"matrices must share one shape: {total.shape} vs {y.shape}")
+        total += y
+    total /= len(mats)
+    if not np.isfinite(total).all():
+        raise ValueError("matrices must be finite")
+    return total
+
+
 def spectral_init(g0, rank):
     """Average the control group and keep the top-`rank` eigenpairs by |λ|.
 
@@ -56,17 +81,12 @@ def spectral_init(g0, rank):
     -------
     RankDecomposition
 
-    Raises ValueError on non-finite input.
+    Raises ValueError on non-finite input or a rank outside [0, n].
     """
-    mats = g0 if isinstance(g0, (list, tuple)) else [g0]
-    if not mats:
-        raise ValueError("need at least one control matrix")
-    mean = np.mean(np.stack([np.asarray(y, dtype=float) for y in mats]), axis=0)
-    if not np.isfinite(mean).all():
-        raise ValueError("control matrices must be finite")
+    mean = _average(g0)
     n = mean.shape[0]
-    if rank > n:
-        raise ValueError(f"rank {rank} exceeds dimension {n}")
+    if not 0 <= rank <= n:
+        raise ValueError(f"need 0 <= rank <= n, got rank={rank} at n={n}")
     w, v = np.linalg.eigh(mean)
     order = np.argsort(-np.abs(w), kind="stable")[:rank]
     vecs = _sign_fix(v[:, order].copy())

@@ -120,6 +120,7 @@ def test_recover_exhaustive_on_a_tiny_set(tmp_path):
     ["--sdp-feas-tol", "0"], ["--gl-grid", "0"], ["--gl-rho", "0"],
     ["--gl-max-iter", "0"], ["--m", "0"], ["--m", "60"],
     ["--mu", "'x'"], ["--mu", "[1]"],
+    ["--rank", "-1"], ["--rank", "61"], ["--c-screen", "0"],
 ])
 def test_recover_bad_settings_exit_one(dataset, tmp_path, capsys, flags):
     if flags[0] == "--mu":  # a generate rule that is not a number
@@ -238,6 +239,13 @@ def test_refine_contaminated_flag_and_failure_exit(dataset, tmp_path):
 
 def test_refine_needs_two_views(dataset):
     assert main(["refine", "--y0", str(dataset / "y0_00.txt"), "--rank", "2"]) == 1
+
+
+def test_refine_rejects_negative_rank(dataset, capsys):
+    # a negative rank used to report spec as ok for a rank n - 1 truncation
+    assert main(["refine", "--y0", str(dataset / "y0_00.txt"), str(dataset / "y0_01.txt"),
+                 "--rank", "-1", "--refine", "spec"]) == 1
+    assert capsys.readouterr().err.startswith("error: --rank")
 
 
 def test_oracle_matches_support(tmp_path):

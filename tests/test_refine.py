@@ -15,7 +15,7 @@ from netcontrast.refine import (
     spectral_baseline,
     whitened_reconstruction,
 )
-from netcontrast.spectral import _sign_fix
+from netcontrast.spectral import _average, _sign_fix, spectral_init
 
 
 def rng_of(seed):
@@ -103,14 +103,18 @@ def no_dense_eig(*args, **kwargs):
     raise AssertionError("dense eig reached")
 
 
-def refine_composite(n, seed):
-    # an exp-refine point (mu = n^0.8 capped at n/4 for small n, smallest
-    # eigenvalue 2.05 sqrt(n)) spliced from two noisy views
+def refine_copies(n, seed, count=4):
+    # noisy copies of an exp-refine point (mu = n^0.8 capped at n/4 for
+    # small n, smallest eigenvalue 2.05 sqrt(n)), as the harness draws them
     gt, rng = planted(n, 3, seed, mu=min(n ** 0.8, n / 4), spread=(2.05 * np.sqrt(n) + 2 * np.log(n),
                                                        2.05 * np.sqrt(n) + np.log(n),
                                                        2.05 * np.sqrt(n)))
     m = gt.shared_matrix()
-    return asymmetric_combine(noisy_copy(m, rng), noisy_copy(m, rng))
+    return [noisy_copy(m, rng) for _ in range(count)]
+
+
+def refine_composite(n, seed):
+    return asymmetric_combine(*refine_copies(n, seed, count=2))
 
 
 def test_asymmetric_eigenpairs_partial_matches_dense():
@@ -306,6 +310,92 @@ def test_spectral_baseline_is_rank_truncation():
     order = np.argsort(-np.abs(vals))[:5]
     oracle = (vecs[:, order] * vals[order]) @ vecs[:, order].T
     assert np.allclose(spectral_baseline(mats, 5), oracle, atol=1e-10)
+
+
+def dense_truncation(mats, rank):
+    vals, vecs = np.linalg.eigh(np.mean(np.stack(mats), axis=0))
+    order = np.argsort(-np.abs(vals), kind="stable")[:rank]
+    return (vecs[:, order] * vals[order]) @ vecs[:, order].T
+
+
+def no_dense_eigh(*args, **kwargs):
+    raise AssertionError("dense eigh reached")
+
+
+def no_arpack(*args, **kwargs):
+    raise AssertionError("ARPACK reached")
+
+
+def test_spectral_baseline_partial_matches_dense(monkeypatch):
+    copies = refine_copies(200, 16)
+    ref = dense_truncation(copies, 3)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense_eigh)
+    est = spectral_baseline(copies, 3)
+    assert np.abs(est - ref).max() < 1e-10 * np.abs(ref).max()
+    assert np.array_equal(est, est.T)
+
+
+def test_spectral_baseline_partial_on_masked_views(monkeypatch):
+    # support rows and columns zeroed, as cli refine passes them: the
+    # masked block puts the zero vectors of the support in the null space
+    sup = [3, 17, 24, 41]
+    masked = [mask_support(y, sup) for y in refine_copies(60, 17, count=6)]
+    ref = dense_truncation(masked, 3)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense_eigh)
+    est = spectral_baseline(masked, 3)
+    assert np.abs(est - ref).max() < 1e-10 * np.abs(ref).max()
+    assert np.all(est[sup, :] == 0) and np.all(est[:, sup] == 0)
+
+
+def test_spectral_baseline_dense_fallback_on_arpack_error(monkeypatch):
+    copies = refine_copies(60, 18)
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(kwargs["k"])
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                      np.empty((60, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    est = spectral_baseline(copies, 3)
+    assert calls == [3]
+    assert np.array_equal(est, spectral_init(copies, 3).reconstruct())
+
+
+def test_spectral_baseline_dense_solve_outside_arpack_range(monkeypatch):
+    # ARPACK needs 1 <= rank < n - 1; rank n - 1, rank n and rank 0 are dense
+    copies = refine_copies(60, 19)
+    small = [y[:5, :5] for y in copies]
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack)
+    for rank in (4, 5):
+        est = spectral_baseline(small, rank)
+        assert np.abs(est - dense_truncation(small, rank)).max() < 1e-12 * np.abs(est).max()
+    assert np.array_equal(spectral_baseline(copies, 0), np.zeros((60, 60)))
+    with pytest.raises(ValueError, match="rank"):
+        spectral_baseline(copies, 61)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_baseline_rejects_non_finite_input(bad):
+    copies = refine_copies(40, 20)
+    copies[2][5, 7] = copies[2][7, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        spectral_baseline(copies, 3)
+
+
+def test_average_matches_stacked_mean():
+    rng = rng_of(21)
+    for count in range(1, 9):
+        mats = [rng.standard_normal((9, 9)) * 10.0 ** rng.integers(-3, 4) for _ in range(count)]
+        assert np.array_equal(_average(mats), np.mean(np.stack(mats), axis=0))
+        assert np.array_equal(_average(mats[0]), mats[0])
+    for other in (np.eye(5), np.ones(4), np.ones((1, 4))):  # the last two broadcast
+        with pytest.raises(ValueError, match="shape"):
+            _average([np.eye(4), other])
+    with pytest.raises(ValueError, match="square"):
+        _average([np.ones((4, 5))])
+    with pytest.raises(ValueError):
+        _average([])
 
 
 def test_entry_error():

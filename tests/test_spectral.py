@@ -56,6 +56,13 @@ def test_spectral_init_rank_zero():
     assert np.allclose(dec.reconstruct(), 0.0)
 
 
+@pytest.mark.parametrize("rank", [-1, 6])
+def test_spectral_init_rejects_rank_outside_zero_to_n(rank):
+    # a negative rank used to slice order[:rank] and keep n - 1 pairs
+    with pytest.raises(ValueError, match="rank"):
+        spectral_init(np.eye(5), rank)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_spectral_init_rejects_non_finite_input(bad):
     y = np.eye(5)
