@@ -11,7 +11,6 @@ non-convergence (or total estimator failure) in single-shot modes.
 
 import argparse
 import json
-import logging
 import math
 import sys
 
@@ -21,8 +20,6 @@ import numpy as np
 
 from . import harness, matio, model, refine, spectral, support
 from .harness import ConfigError
-
-logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +86,7 @@ def _build_parser():
     f.add_argument("--y0", nargs="+", required=True, help="control matrices")
     f.add_argument("--rank", type=int, required=True)
     f.add_argument("--support", default="", help="comma-separated node indices to mask")
-    f.add_argument("--refine", default="all", choices=["spec", "mhat1", "mhat2", "all"],
+    f.add_argument("--refine", default="all", choices=[*refine.ESTIMATORS, "all"],
                    dest="which", help="which estimators to emit")
     f.add_argument("--truth", default=None, help="matrix to report linf errors against")
     f.add_argument("--truth-support", default=None,
@@ -175,17 +172,27 @@ def _cmd_generate(args):
     return 0
 
 
-def _read_matrices(paths):
-    return [matio.read_matrix(p) for p in paths]
+def _read_matrices(*groups):
+    """One list of (square) matrices per list of paths.  A file that cannot
+    be read, or whose shape differs from the first file's, is a ConfigError."""
+    out, shape = [], None
+    for paths in groups:
+        out.append([])
+        for path in paths:
+            try:
+                mat = matio.read_matrix(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(str(exc)) from None
+            shape = shape or mat.shape
+            if mat.shape != shape:
+                raise ConfigError(f"{path}: shape {mat.shape} differs from the first file's {shape}")
+            out[-1].append(mat)
+    return out
 
 
 def _cmd_recover(args):
     opts, gl = harness.solver_settings(vars(args))
-    try:
-        y1s = _read_matrices(args.y1)
-        y0s = _read_matrices(args.y0)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    y1s, y0s = _read_matrices(args.y1, args.y0)
     n = y1s[0].shape[0]
     rank = args.rank
     if rank < 0:
@@ -244,79 +251,61 @@ def _cmd_recover(args):
     return 0 if converged else 2
 
 
-def _parse_indices(text):
+def _parse_indices(flag, text, n):
+    """Sorted distinct node indices from flag's comma-separated list; each
+    must lie in [0, n)."""
     text = text.strip()
     if not text:
         return np.array([], dtype=int)
     try:
-        return np.array(sorted({int(tok) for tok in text.split(",")}), dtype=int)
+        idx = sorted({int(tok) for tok in text.split(",")})
     except ValueError:
-        raise ConfigError(f"bad index list {text!r}") from None
+        raise ConfigError(f"{flag}: bad index list {text!r}") from None
+    if not 0 <= idx[0] <= idx[-1] < n:
+        raise ConfigError(f"{flag}: node indices must lie in [0, n={n}), got {text!r}")
+    return np.array(idx, dtype=int)
 
 
 def _cmd_refine(args):
-    try:
-        y1s = _read_matrices(args.y1)
-        y0s = _read_matrices(args.y0)
-        truth = matio.read_matrix(args.truth) if args.truth else None
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    if args.rank < 0:
-        raise ConfigError(f"--rank must be >= 0, got {args.rank}")
-    sup = _parse_indices(args.support)
-    masked1 = [refine.mask_support(y, sup) for y in y1s]
-    masked0 = [refine.mask_support(y, sup) for y in y0s]
-    if masked1:
-        upper = np.mean(np.stack(masked1), axis=0)
-        lower, extras = masked0[0], masked0[1:3]
-    else:
-        if len(masked0) < 2:
-            raise ConfigError("refine needs either --y1 plus one --y0, or two --y0")
-        upper, lower, extras = masked0[0], masked0[1], masked0[2:4]
-
-    wanted = ["spec", "mhat1", "mhat2"] if args.which == "all" else [args.which]
+    y1s, y0s, truths = _read_matrices(args.y1, args.y0, [args.truth] if args.truth else [])
+    truth = truths[0] if truths else None
+    n = y0s[0].shape[0]
+    if not 0 <= args.rank <= n:
+        raise ConfigError(f"--rank must lie in [0, n={n}], got {args.rank}")
+    sup = _parse_indices("--support", args.support, n)
+    if not y1s and len(y0s) < 2:
+        raise ConfigError("refine needs either --y1 plus one --y0, or two --y0")
     record = {"rank": args.rank, "support": [int(i) for i in sup], "estimators": {}}
     if args.truth_support is not None:
-        truth_sup = _parse_indices(args.truth_support)
+        truth_sup = _parse_indices("--truth-support", args.truth_support, n)
         record["contaminated"] = not set(truth_sup.tolist()) <= set(sup.tolist())
-
-    dec = None
-    estimates = {}
-    for meth in wanted:
-        try:
-            if meth == "spec":
-                est = refine.spectral_baseline(masked1 + masked0, args.rank)
-            else:
-                if dec is None:
-                    composite = refine.asymmetric_combine(upper, lower)
-                    dec = refine.asymmetric_eigenpairs(composite, args.rank)
-                if meth == "mhat1":
-                    est = refine.reconstruct_symmetric(
-                        refine.debiased_eigenvectors(dec), dec.values)
-                else:
-                    if len(extras) < 2:
-                        raise ValueError("mhat2 needs two extra control matrices")
-                    corr = refine.eigenspace_correction(dec, extras[0], extras[1])
-                    est = refine.whitened_reconstruction(dec, corr)
-            entry = {"ok": True}
-            if truth is not None:
-                masked_truth = refine.mask_support(truth, sup)
-                entry["linf_complement"] = refine.entry_error(est, masked_truth)
-                entry["linf_full"] = refine.entry_error(est, truth)
-            estimates[meth] = est
-            record["estimators"][meth] = entry
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            logger.warning("estimator %s failed: %s", meth, exc)
-            record["estimators"][meth] = {"ok": False, "error": str(exc)}
-
     if args.emit:
-        out = Path(args.emit)
-        out.mkdir(parents=True, exist_ok=True)
-        for meth, est in estimates.items():
-            matio.write_matrix(out / f"{meth}.txt", est)
-            record["estimators"][meth]["file"] = str(out / f"{meth}.txt")
+        Path(args.emit).mkdir(parents=True, exist_ok=True)
+
+    masked1 = [refine.mask_support(y, sup) for y in y1s]
+    masked0 = [refine.mask_support(y, sup) for y in y0s]
+    # the composite splices the treatment mean (else the first control) with
+    # the next control; the two controls after it are mhat2's extras
+    if masked1:
+        upper, rest = np.mean(np.stack(masked1), axis=0), masked0
+    else:
+        upper, rest = masked0[0], masked0[1:]
+    wanted = refine.ESTIMATORS if args.which == "all" else (args.which,)
+    for meth, est, error in refine.estimate(wanted, args.rank, masked1 + masked0,
+                                            upper, rest[0], rest[1:]):
+        entry = record["estimators"][meth] = {"ok": est is not None}
+        if est is None:
+            entry["error"] = error
+            continue
+        if truth is not None:
+            entry["linf_complement"] = refine.entry_error(est, refine.mask_support(truth, sup))
+            entry["linf_full"] = refine.entry_error(est, truth)
+        if args.emit:
+            path = Path(args.emit) / f"{meth}.txt"
+            matio.write_matrix(path, est)
+            entry["file"] = str(path)
     _emit_json(record, args.out)
-    return 0 if estimates else 2
+    return 0 if any(e["ok"] for e in record["estimators"].values()) else 2
 
 
 def _cmd_experiment(args):

@@ -652,31 +652,23 @@ def _build_coherence(cfg):
     return _Plan(n_list, trials, methods, params, cell)
 
 
-_REFINE_METHODS = ("spec", "mhat1", "mhat2")
-
-
-def _refine_estimates(mstar, copies, r, methods):
-    """linf errors of the selected refinement estimators from four copies."""
-    comp1 = refine.asymmetric_combine(copies[0], copies[1])
-    comp2 = refine.asymmetric_combine(copies[2], copies[3])
+def _refine_errors(methods, r, basis, vals, noise, data_rng, timing):
+    """One trial's linf error per refinement estimator from four noisy copies
+    of the planted matrix; mhat1 splices the means of copies 0, 2 and 1, 3,
+    mhat2 splices copies 0 and 1 and whitens with 2 and 3."""
+    mstar = model.GroundTruth(basis=basis, eigenvalues=vals).shared_matrix()
+    copies = [mstar + model.sample_noise(basis.shape[0], noise, data_rng) for _ in range(4)]
     rows = []
     for meth in methods:
-        try:
-            if meth == "spec":
-                est = refine.spectral_baseline(copies, r)
-            elif meth == "mhat1":
-                dec = refine.asymmetric_eigenpairs(0.5 * (comp1 + comp2), r)
-                est = refine.reconstruct_symmetric(refine.debiased_eigenvectors(dec), dec.values)
-            elif meth == "mhat2":
-                dec = refine.asymmetric_eigenpairs(comp1, r)
-                corr = refine.eigenspace_correction(dec, copies[2], copies[3])
-                est = refine.whitened_reconstruction(dec, corr)
+        def run(meth=meth):
+            if meth == "mhat1":
+                layout = (0.5 * (copies[0] + copies[2]), 0.5 * (copies[1] + copies[3]))
             else:
-                raise ConfigError(f"method {meth!r} is not a refinement estimator")
-            rows.append((meth, refine.entry_error(est, mstar), 0.0, True))
-        except (np.linalg.LinAlgError, ValueError):
-            logger.warning("refinement estimator %s failed", meth, exc_info=True)
-            rows.append((meth, math.nan, 0.0, False))
+                layout = (copies[0], copies[1], copies[2:])
+            ((_, est, _),) = refine.estimate((meth,), r, copies, *layout)
+            return None if est is None else refine.entry_error(est, mstar)
+        value, ms = _timed(run, timing)
+        rows.append((meth, math.nan if value is None else value, ms, value is not None))
     return rows
 
 
@@ -685,7 +677,7 @@ def _build_refine(cfg):
     # n = 800 is the smallest round size at which mu = n^(5/6) <= n/r
     n_list = cfg.n_list or (800,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, _REFINE_METHODS, _REFINE_METHODS)
+    methods = _check_methods(cfg, refine.ESTIMATORS, refine.ESTIMATORS)
     params = cfg.params or (
         "mu=n**0.8|lmin=2.05", "mu=n**(5/6)|lmin=2.05",
         "mu=n**0.8|lmin=3", "mu=n**(5/6)|lmin=3",
@@ -705,11 +697,7 @@ def _build_refine(cfg):
         lmin = eval_rule(fields["lmin"], n=n, r=r) * math.sqrt(n)
         vals = np.array([lmin + (r - i) * math.log(n) for i in range(1, r + 1)])
         basis = model.sample_incoherent_basis(n, r, mu, data_rng)
-        gt = model.GroundTruth(basis=basis, eigenvalues=vals)
-        mstar = gt.shared_matrix()
-        copies = [mstar + model.sample_noise(n, noise, data_rng) for _ in range(4)]
-        out, ms = _timed(lambda: _refine_estimates(mstar, copies, r, methods), timing)
-        return [(meth, val, ms if timing else 0.0, conv) for meth, val, _, conv in out]
+        return _refine_errors(methods, r, basis, vals, noise, data_rng, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -718,7 +706,7 @@ def _build_eigengap(cfg):
     """Corrected-estimator error as the eigengap ratio grows."""
     n_list = cfg.n_list or (400,)
     trials = cfg.trials or 30
-    methods = _check_methods(cfg, _REFINE_METHODS, ("mhat2",))
+    methods = _check_methods(cfg, refine.ESTIMATORS, ("mhat2",))
     params = cfg.params or ("1", "n**(1/6)", "n**(1/3)")
     o = cfg.options
     r = 3
@@ -733,11 +721,8 @@ def _build_eigengap(cfg):
         lam2 = lam3 + dmin
         lam1 = lam2 + ratio * dmin
         basis = model.sample_incoherent_basis(n, r, mu, data_rng)
-        gt = model.GroundTruth(basis=basis, eigenvalues=np.array([lam1, lam2, lam3]))
-        mstar = gt.shared_matrix()
-        copies = [mstar + model.sample_noise(n, noise, data_rng) for _ in range(4)]
-        out, ms = _timed(lambda: _refine_estimates(mstar, copies, r, methods), timing)
-        return [(meth, val, ms if timing else 0.0, conv) for meth, val, _, conv in out]
+        return _refine_errors(methods, r, basis, np.array([lam1, lam2, lam3]), noise,
+                              data_rng, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 

@@ -5,8 +5,9 @@ matrix are spliced into one asymmetric composite whose left/right eigenpairs
 carry a multiplicative bias that cancels in the product of left and right
 linear forms.  This module provides the splicing, the asymmetric eigen
 decomposition, the entrywise debiased estimator, an eigenspace whitening
-correction built from two extra independent copies, and the entrywise error
-used to compare estimators.
+correction built from two extra independent copies, the one dispatch from
+estimator names to estimates (estimate), and the entrywise error used to
+compare estimators.
 """
 
 import logging
@@ -208,6 +209,42 @@ def spectral_baseline(mats, rank):
     w, v = pairs
     order = np.argsort(-np.abs(w), kind="stable")
     return reconstruct_symmetric(v[:, order], w[order])
+
+
+ESTIMATORS = ("spec", "mhat1", "mhat2")
+
+
+def estimate(methods, rank, views, upper, lower, extras=()):
+    """[(method, estimate or None, error message or None)] for each name of
+    ESTIMATORS in methods, in order: spec truncates the mean of views, mhat1
+    and mhat2 share the eigenpairs of asymmetric_combine(upper, lower), and
+    mhat2 whitens them with extras[0] and extras[1].  A LinAlgError or
+    ValueError gives its message, not the exception, whose traceback would
+    keep the n x n matrices of its frames alive."""
+    if not set(methods) <= set(ESTIMATORS):
+        raise ValueError(f"estimators must be among {ESTIMATORS}, got {methods}")
+    dec = None
+    out = []
+    for meth in methods:
+        try:
+            if meth == "spec":
+                est = spectral_baseline(views, rank)
+            else:
+                if dec is None:
+                    dec = asymmetric_eigenpairs(asymmetric_combine(upper, lower), rank)
+                if meth == "mhat1":
+                    est = reconstruct_symmetric(debiased_eigenvectors(dec), dec.values)
+                elif len(extras) < 2:
+                    raise ValueError("mhat2 needs two extra control matrices")
+                else:
+                    est = whitened_reconstruction(
+                        dec, eigenspace_correction(dec, extras[0], extras[1]))
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            logger.warning("estimator %s failed: %s", meth, exc)
+            out.append((meth, None, str(exc)))
+        else:
+            out.append((meth, est, None))
+    return out
 
 
 def entry_error(a, b):

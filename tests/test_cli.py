@@ -115,14 +115,24 @@ def test_recover_exhaustive_on_a_tiny_set(tmp_path):
     assert rec["kept_count"] == 12 and "sdp" not in rec
 
 
+def with_small_matrix(flags, tmp_path):
+    """flags with "{small}" replaced by the path of a 40 x 40 matrix, which
+    does not match the 60 x 60 data set."""
+    small = tmp_path / "small.txt"
+    write_matrix(small, np.eye(40))
+    return [f.replace("{small}", str(small)) for f in flags]
+
+
 @pytest.mark.parametrize("flags", [
     ["--sdp-rank", "0"], ["--sdp-rank", "-1"], ["--sdp-restarts", "0"],
     ["--sdp-feas-tol", "0"], ["--gl-grid", "0"], ["--gl-rho", "0"],
     ["--gl-max-iter", "0"], ["--m", "0"], ["--m", "60"],
     ["--mu", "'x'"], ["--mu", "[1]"],
     ["--rank", "-1"], ["--rank", "61"], ["--c-screen", "0"],
+    ["--y0", "{small}"],
 ])
 def test_recover_bad_settings_exit_one(dataset, tmp_path, capsys, flags):
+    flags = with_small_matrix(flags, tmp_path)
     if flags[0] == "--mu":  # a generate rule that is not a number
         argv = ["generate", "--n", "20", "--out-dir", str(tmp_path), *flags]
     else:
@@ -246,6 +256,21 @@ def test_refine_rejects_negative_rank(dataset, capsys):
     assert main(["refine", "--y0", str(dataset / "y0_00.txt"), str(dataset / "y0_01.txt"),
                  "--rank", "-1", "--refine", "spec"]) == 1
     assert capsys.readouterr().err.startswith("error: --rank")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rank", "61"], ["--y0", "{small}", "{small}", "{small}"], ["--truth", "{small}"],
+    ["--support", "99"], ["--support", "-1"], ["--support", "60"], ["--support", "1,x"],
+    ["--truth-support", "60"],
+])
+def test_refine_bad_input_exit_one(dataset, tmp_path, capsys, flags):
+    # rejected before any estimator runs, so no JSON record is printed
+    rc = main(["refine", "--y1", str(dataset / "y1_00.txt"),
+               "--y0", str(dataset / "y0_00.txt"), str(dataset / "y0_01.txt"),
+               "--rank", "2", *with_small_matrix(flags, tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_oracle_matches_support(tmp_path):

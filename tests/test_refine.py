@@ -3,13 +3,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from netcontrast import refine
 from netcontrast.model import GroundTruth, sample_incoherent_basis
 from netcontrast.refine import (
+    ESTIMATORS,
     asymmetric_combine,
     asymmetric_eigenpairs,
     debiased_eigenvectors,
     eigenspace_correction,
     entry_error,
+    estimate,
     mask_support,
     reconstruct_symmetric,
     spectral_baseline,
@@ -396,6 +399,59 @@ def test_average_matches_stacked_mean():
         _average([np.ones((4, 5))])
     with pytest.raises(ValueError):
         _average([])
+
+
+def test_estimate_matches_direct_calls():
+    # the harness layout: mhat1 on the averaged halves equals mhat1 on the
+    # mean of two composites bit for bit; mhat2 whitens copies 0, 1 by 2, 3
+    c = refine_copies(90, 31)
+    dec1 = asymmetric_eigenpairs(0.5 * (asymmetric_combine(c[0], c[1])
+                                        + asymmetric_combine(c[2], c[3])), 3)
+    dec2 = asymmetric_eigenpairs(asymmetric_combine(c[0], c[1]), 3)
+    direct = {
+        "spec": spectral_baseline(c, 3),
+        "mhat1": reconstruct_symmetric(debiased_eigenvectors(dec1), dec1.values),
+        "mhat2": whitened_reconstruction(dec2, eigenspace_correction(dec2, c[2], c[3])),
+    }
+    layouts = {"spec": (c[0], c[1]), "mhat1": (0.5 * (c[0] + c[2]), 0.5 * (c[1] + c[3])),
+               "mhat2": (c[0], c[1], c[2:])}
+    for meth in ESTIMATORS:
+        ((name, est, error),) = estimate((meth,), 3, c, *layouts[meth])
+        assert name == meth and error is None
+        assert np.array_equal(est, direct[meth]), meth
+    # one call on the composite of copies 0, 1 gives the same mhat2 and spec
+    out = estimate(ESTIMATORS, 3, c, c[0], c[1], c[2:])
+    assert [name for name, _, _ in out] == list(ESTIMATORS)
+    assert np.array_equal(out[0][1], direct["spec"])
+    assert np.array_equal(out[2][1], direct["mhat2"])
+
+
+def test_estimate_shares_one_eigensolve(monkeypatch):
+    calls = []
+    original = refine.asymmetric_eigenpairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "asymmetric_eigenpairs", counting)
+    c = refine_copies(90, 32)
+    out = estimate(("mhat2", "spec", "mhat1"), 3, c, c[0], c[1], c[2:])
+    assert [error for _, _, error in out] == [None, None, None]
+    assert len(calls) == 1
+
+
+def test_estimate_reports_failures_as_messages():
+    c = refine_copies(60, 33, count=3)
+    out = estimate(("mhat1", "mhat2"), 3, c, c[0], c[1], c[2:])
+    assert out[0][2] is None and out[0][1].shape == (60, 60)
+    assert out[1] == ("mhat2", None, "mhat2 needs two extra control matrices")
+    # a failed eigensolve fails both of its estimators, with its message
+    out = estimate(("spec", "mhat1", "mhat2"), 0, c, c[0], c[1], c[1:])
+    assert out[0][2] is None and not out[0][1].any()
+    assert [error for _, _, error in out[1:]] == ["need 1 <= rank <= n, got rank=0"] * 2
+    with pytest.raises(ValueError, match="among"):
+        estimate(("spec", "mhat3"), 3, c, c[0], c[1])
 
 
 def test_entry_error():
