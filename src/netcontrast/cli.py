@@ -31,8 +31,7 @@ def _add_solver_flags(p):
     # unset flags stay out of args, so harness.solver_settings supplies the defaults
     unset = argparse.SUPPRESS
     p.add_argument("--sdp-rank", type=int, default=unset, help="factor width of the SDP solver")
-    p.add_argument("--sdp-feas-tol", type=float, default=unset, help="relative feasibility tolerance")
-    p.add_argument("--sdp-restarts", type=int, default=unset, help="jittered restarts, best kept")
+    p.add_argument("--sdp-restarts", type=int, default=unset, help="most SDP runs, until one is certified")
     p.add_argument("--gl-rho", type=float, default=unset, help="ADMM penalty parameter")
     p.add_argument("--gl-tol", type=float, default=unset, help="ADMM stopping tolerance (default 1e-6*||Y||_F)")
     p.add_argument("--gl-max-iter", type=int, default=unset, help="ADMM iteration cap")
@@ -244,6 +243,7 @@ def _cmd_recover(args):
                          "iterations": sol.iterations,
                          "total_iterations": sol.total_iterations,
                          "matvecs": sol.matvecs,
+                         "lambda_min": sol.lambda_min,
                          "converged": sol.converged}
     record["support"] = [int(i) for i in indices]
     record["converged"] = bool(converged)
@@ -270,8 +270,8 @@ def _cmd_refine(args):
     y1s, y0s, truths = _read_matrices(args.y1, args.y0, [args.truth] if args.truth else [])
     truth = truths[0] if truths else None
     n = y0s[0].shape[0]
-    if not 0 <= args.rank <= n:
-        raise ConfigError(f"--rank must lie in [0, n={n}], got {args.rank}")
+    if not 1 <= args.rank <= n:
+        raise ConfigError(f"--rank must lie in [1, n={n}], got {args.rank}")
     sup = _parse_indices("--support", args.support, n)
     if not y1s and len(y0s) < 2:
         raise ConfigError("refine needs either --y1 plus one --y0, or two --y0")

@@ -92,7 +92,7 @@ _CONFIG_KEYS = {
     "r", "m", "mu", "sigma_b", "eigenvalues",
     "noise", "sigma", "sigma_min", "sigma_max", "truncation",
     "c_screen",
-    "sdp_rank", "sdp_restarts", "sdp_feas_tol", "sdp_max_inner", "sdp_max_outer",
+    "sdp_rank", "sdp_restarts", "sdp_max_inner",
     "gl_rho", "gl_tol", "gl_max_iter", "gl_grid", "lambda_floor",
 }
 
@@ -373,15 +373,15 @@ def _timed(fn, timing):
 
 def solver_settings(o):
     """(SdpOptions, glasso keywords of support.recover) from the sdp_*, gl_*
-    and lambda_floor keys of o (strings or numbers), with the front-end
-    defaults; other keys are ignored and bad values raise ConfigError."""
+    and lambda_floor keys of o (strings or numbers), with the SdpOptions and
+    front-end defaults; other keys are ignored and bad values raise
+    ConfigError."""
+    d = support.SdpOptions()
     try:
         opts = support.SdpOptions(
-            factor_rank=int(o.get("sdp_rank", 3)),
-            feas_tol=float(o.get("sdp_feas_tol", 1e-6)),
-            restarts=int(o.get("sdp_restarts", 3)),
-            max_inner=int(o.get("sdp_max_inner", 300)),
-            max_outer=int(o.get("sdp_max_outer", 80)),
+            factor_rank=int(o.get("sdp_rank", d.factor_rank)),
+            restarts=int(o.get("sdp_restarts", d.restarts)),
+            max_inner=int(o.get("sdp_max_inner", d.max_inner)),
         )
         gl = {
             "grid_size": int(o.get("gl_grid", 40)),

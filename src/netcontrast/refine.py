@@ -217,21 +217,27 @@ ESTIMATORS = ("spec", "mhat1", "mhat2")
 def estimate(methods, rank, views, upper, lower, extras=()):
     """[(method, estimate or None, error message or None)] for each name of
     ESTIMATORS in methods, in order: spec truncates the mean of views, mhat1
-    and mhat2 share the eigenpairs of asymmetric_combine(upper, lower), and
-    mhat2 whitens them with extras[0] and extras[1].  A LinAlgError or
-    ValueError gives its message, not the exception, whose traceback would
-    keep the n x n matrices of its frames alive."""
+    and mhat2 share the eigenpairs of asymmetric_combine(upper, lower), or
+    the failure of that one solve, and mhat2 whitens them with extras[0] and
+    extras[1].  A LinAlgError or ValueError gives its message, not the
+    exception, whose traceback would keep the n x n matrices of its frames
+    alive."""
     if not set(methods) <= set(ESTIMATORS):
         raise ValueError(f"estimators must be among {ESTIMATORS}, got {methods}")
-    dec = None
+    dec = failure = None   # the shared eigensolve's result, or its error message
     out = []
     for meth in methods:
         try:
             if meth == "spec":
                 est = spectral_baseline(views, rank)
             else:
-                if dec is None:
-                    dec = asymmetric_eigenpairs(asymmetric_combine(upper, lower), rank)
+                if dec is None and failure is None:
+                    try:
+                        dec = asymmetric_eigenpairs(asymmetric_combine(upper, lower), rank)
+                    except (np.linalg.LinAlgError, ValueError) as exc:
+                        failure = str(exc)
+                if failure is not None:
+                    raise ValueError(failure)
                 if meth == "mhat1":
                     est = reconstruct_symmetric(debiased_eigenvectors(dec), dec.values)
                 elif len(extras) < 2:

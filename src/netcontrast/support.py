@@ -56,11 +56,13 @@ def build_cost(residuals, mode="single", tau=None):
 
 # ---------------------------------------------------------------------------
 # factored SDP solver
+#
+# Z = X X^T with X = 1 a^T + Y and 1^T Y = 0, so <J, Z> = n^2 |a|^2 and
+# tr Z = n |a|^2 + |Y|_F^2: the constraints say |a| = K/n and
+# |Y|_F^2 = K - K^2/n, and the feasible factors form a product of two spheres.
 
-_OBJ_TOL = 1e-7         # relative objective change across outer rounds
-_PENALTY_INIT = 1.0
-_PENALTY_GROWTH = 5.0   # applied when feasibility improves by less than _STALL_RATIO
-_STALL_RATIO = 0.25
+_GRAD_TOL = 1e-8        # Riemannian gradient norm on the cost scaled to |C|_F = 1
+_CERT_TOL = 1e-8        # least eigenvalue of S that still certifies, same scale
 _JITTER = 0.1           # scale of the random start perturbation of later restarts
 _SEED = 0               # solver generator when no rng is passed
 
@@ -68,17 +70,13 @@ _SEED = 0               # solver generator when no rng is passed
 @dataclass
 class SdpOptions:
     factor_rank: int = 3
-    feas_tol: float = 1e-6       # relative: |tr Z - K| <= feas_tol*K, |<J,Z>-K^2| <= feas_tol*K^2
-    restarts: int = 2
-    max_outer: int = 80
-    max_inner: int = 300
+    restarts: int = 3           # most runs: jittered restarts follow while none is certified
+    max_inner: int = 300        # descent iterations per restart
 
     def __post_init__(self):
-        for name in ("factor_rank", "restarts", "max_inner", "max_outer"):
+        for name in ("factor_rank", "restarts", "max_inner"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.feas_tol > 0:
-            raise ValueError(f"feas_tol must be > 0, got {self.feas_tol}")
 
 
 @dataclass
@@ -91,16 +89,13 @@ class SdpSolution:
     negative_entry: float       # monitor: max(0, -min Z_ij)
     diag_excess: float          # monitor: max(0, max Z_ii - 1)
     iterations: int             # descent iterations of the kept restart
-    converged: bool
+    converged: bool             # gradient test and certificate both hold
     total_iterations: int       # descent iterations over all restarts
     matvecs: int                # products with the cost matrix over all restarts
+    lambda_min: float           # least eigenvalue of S = C + y1 I + y2 J, over |C|_F
 
     def z(self):
         return self.factor @ self.factor.T
-
-
-def _lagrangian(q, h1, h2, y1, y2, rho):
-    return q + y1 * h1 + y2 * h2 + 0.5 * rho * (h1 * h1 + h2 * h2)
 
 
 def _column_sums(x):
@@ -108,108 +103,112 @@ def _column_sums(x):
     return np.ones(x.shape[0]) @ x
 
 
-def _al_value_grad(cx, x, y1, y2, rho, k, k2):
-    """Augmented Lagrangian, its gradient and the residuals h1, h2 at x,
-    given cx = C x for a symmetric C."""
-    s = _column_sums(x)
-    h1 = float(np.vdot(x, x)) - k
-    h2 = float(s @ s) - k2
-    f = _lagrangian(float(np.vdot(cx, x)), h1, h2, y1, y2, rho)
-    g = 2.0 * cx + (2.0 * (y1 + rho * h1)) * x + (2.0 * (y2 + rho * h2)) * s
-    return f, g, h1, h2
+def _sphere_grad(c1, a, y, cy, ra2, ry2):
+    """Cost <C X, X> at X = 1 a^T + Y, its Riemannian gradient (g_a, g_y)
+    and the gradient's squared norm, given c1 = C 1 and cy = C Y for a
+    symmetric C.  The metric is the one X inherits, n |da|^2 + |dY|_F^2, so
+    1 g_a^T + g_y is the projection of 2 C X onto the tangent space."""
+    cx = np.outer(c1, a) + cy
+    w = _column_sums(cx)
+    f = float(w @ a) + float(np.vdot(cx, y))
+    u = (2.0 / y.shape[0]) * w
+    g_a = u - (float(u @ a) / ra2) * a
+    m = 2.0 * cx - u
+    g_y = m - (float(np.vdot(y, m)) / ry2) * y
+    return f, g_a, g_y, y.shape[0] * float(g_a @ g_a) + float(np.vdot(g_y, g_y))
 
 
-def _line_coefficients(cx, cg, x, g):
-    """Coefficients (a0, a1, a2) with which <C x_t, x_t>, ||x_t||^2 and
-    ||1^T x_t||^2 each equal a0 - 2 t a1 + t^2 a2 along x_t = x - t g, for a
-    symmetric C."""
-    s = _column_sums(x)
-    sg = _column_sums(g)
+def _retraction_coefficients(a, y, cy, g_a, g_y, cg):
+    """Scalars from which _retraction_value gives the cost along the
+    retraction of X - t (1 g_a^T + g_y), given cg = C g_y."""
+    wy, wg = _column_sums(cy), _column_sums(cg)
     return (
-        (float(np.vdot(cx, x)), float(np.vdot(cx, g)), float(np.vdot(cg, g))),
-        (float(np.vdot(x, x)), float(np.vdot(x, g)), float(np.vdot(g, g))),
-        (float(s @ s), float(s @ sg), float(sg @ sg)),
+        (float(a @ a), float(a @ g_a), float(g_a @ g_a)),
+        (float(np.vdot(y, y)), float(np.vdot(y, g_y)), float(np.vdot(g_y, g_y))),
+        (float(a @ wy), 0.5 * (float(a @ wg) + float(g_a @ wy)), float(g_a @ wg)),
+        (float(np.vdot(cy, y)), float(np.vdot(cy, g_y)), float(np.vdot(cg, g_y))),
     )
 
 
-def _line_value(coef, t, y1, y2, rho, k, k2):
-    """Augmented Lagrangian at x - t g from _line_coefficients."""
-    q, nx, ns = (a0 - t * (2.0 * a1 - t * a2) for a0, a1, a2 in coef)
-    return _lagrangian(q, nx - k, ns - k2, y1, y2, rho)
+def _retraction_value(coef, t, s1, ra2, ry2):
+    """<C X_t, X_t> at X_t = 1 a_t^T + Y_t, where a_t and Y_t are a - t g_a
+    and Y - t g_y rescaled onto their spheres and s1 = 1^T C 1.  Each
+    coefficient triple (b0, b1, b2) stands for b0 - 2 t b1 + t^2 b2."""
+    na, ny, cross, quad = (b0 - t * (2.0 * b1 - t * b2) for b0, b1, b2 in coef)
+    return s1 * ra2 + 2.0 * math.sqrt(ra2 * ry2 / (na * ny)) * cross + (ry2 / ny) * quad
 
 
-def _bb_descent(c, x, y1, y2, rho, k, k2, gtol, max_iter):
-    # Barzilai-Borwein steps with a nonmonotone Armijo backtrack.  Along -g
-    # the Lagrangian is a quartic in t whose coefficients need only c @ g, so
-    # an iteration makes one product with c however many trial steps it takes;
-    # c @ x follows the accepted steps linearly and restarts fresh each call.
-    # Returns (x, c @ x, h1, h2, iterations, matvecs).
-    cx = c @ x
-    matvecs = 1
-    f, g, h1, h2 = _al_value_grad(cx, x, y1, y2, rho, k, k2)
+def _sphere_descent(c, c1, a, y, cy, ra, ry, max_iter):
+    """Riemannian Barzilai-Borwein descent of <C X, X> over X = 1 a^T + Y
+    with |a| = ra, 1^T Y = 0 and |Y|_F = ry, for a symmetric C; stops when
+    the gradient norm reaches _GRAD_TOL or after max_iter iterations.
+
+    An iteration makes one product with C, C g_y: along the retraction the
+    cost is a function of a few scalars (_retraction_value), so the
+    nonmonotone Armijo backtrack needs no more, and C Y follows each step.
+    The retraction recentres Y and rescales each block by its computed
+    norm; rounding in the mean of Y would otherwise grow along the steps.
+    Returns (a, y, cy, iterations, gradient norm)."""
+    ra2, ry2 = ra * ra, ry * ry
+    s1 = float(np.sum(c1))
+    f, g_a, g_y, gn2 = _sphere_grad(c1, a, y, cy, ra2, ry2)
     hist = deque([f], maxlen=10)
-    step = 1.0 / max(np.linalg.norm(g), 1.0)
+    step = 1.0 / max(math.sqrt(gn2), 1.0)
     it = 0
-    for it in range(1, max_iter + 1):
-        gn2 = float(np.vdot(g, g))
-        if math.sqrt(gn2) <= gtol * max(1.0, np.linalg.norm(x)):
-            break
-        cg = c @ g
-        matvecs += 1
-        coef = _line_coefficients(cx, cg, x, g)
+    while math.sqrt(gn2) > _GRAD_TOL and it < max_iter:
+        it += 1
+        cg = c @ g_y
+        coef = _retraction_coefficients(a, y, cy, g_a, g_y, cg)
         fref = max(hist)
         t = 2.0 * step
         for _ in range(40):
             t *= 0.5
-            if _line_value(coef, t, y1, y2, rho, k, k2) <= fref - 1e-4 * t * gn2:
+            if _retraction_value(coef, t, s1, ra2, ry2) <= fref - 1e-4 * t * gn2:
                 break
-        x = x - t * g
-        cx = cx - t * cg
-        f, gnew, h1, h2 = _al_value_grad(cx, x, y1, y2, rho, k, k2)
-        # BB step from dx = -t g and dg = gnew - g
-        sy = -t * float(np.vdot(g, gnew - g))
-        ss = t * t * gn2
-        step = ss / sy if sy > 1e-16 else 2.0 * t
+        a = a - t * g_a
+        a *= ra / np.linalg.norm(a)
+        y = y - t * g_y
+        mean = _column_sums(y) / y.shape[0]
+        y -= mean
+        beta = ry / np.linalg.norm(y)
+        y *= beta
+        cy = beta * (cy - t * cg - np.outer(c1, mean))
+        f, ga_new, gy_new, gn2_new = _sphere_grad(c1, a, y, cy, ra2, ry2)
+        # BB1 step from the step -t g and the gradient change, in the X metric
+        sy = -t * (y.shape[0] * float(g_a @ (ga_new - g_a)) + float(np.vdot(g_y, gy_new - g_y)))
+        step = t * t * gn2 / sy if sy > 1e-16 else 2.0 * t
         step = min(max(step, 1e-12), 1e6)
-        g = gnew
+        g_a, g_y, gn2 = ga_new, gy_new, gn2_new
         hist.append(f)
-    return x, cx, h1, h2, it, matvecs
+    return a, y, cy, it, math.sqrt(gn2)
 
 
-def _alm(c, x, k, k2, opts):
-    """Augmented-Lagrangian rounds; returns (x, iterations, matvecs, converged)."""
-    y1 = y2 = 0.0
-    rho = _PENALTY_INIT
-    gtol = 1e-3
-    prev_feas = math.inf
-    prev_obj = math.inf
-    total = matvecs = 0
-    for _ in range(opts.max_outer):
-        x, cx, h1, h2, it, mv = _bb_descent(c, x, y1, y2, rho, k, k2, gtol, opts.max_inner)
-        total += it
-        matvecs += mv
-        obj = float(np.vdot(cx, x))
-        feas = max(abs(h1) / k, abs(h2) / k2)
-        if feas <= opts.feas_tol and abs(obj - prev_obj) <= _OBJ_TOL * max(1.0, abs(obj)):
-            return x, total, matvecs, True
-        prev_obj = obj
-        y1 += rho * h1
-        y2 += rho * h2
-        if feas > _STALL_RATIO * prev_feas:
-            rho = min(rho * _PENALTY_GROWTH, 1e12)
-        prev_feas = feas
-        gtol = max(0.3 * gtol, 1e-9)
-    return x, total, matvecs, False
+def _certificate(c, x, cx):
+    """Least eigenvalue of S = C + y1 I + y2 J, with y1, y2 the least-squares
+    fit of S X = 0.  When S X = 0 and S >= 0, X X^T solves the SDP."""
+    sigma = _column_sums(x)
+    ss = float(sigma @ sigma)
+    gram = np.array([[float(np.vdot(x, x)), ss], [ss, x.shape[0] * ss]])
+    rhs = -np.array([float(np.vdot(x, cx)), float(sigma @ _column_sums(cx))])
+    y1, y2 = np.linalg.solve(gram, rhs)
+    s = c + y2
+    s[np.diag_indices_from(s)] += y1
+    return float(np.linalg.eigvalsh(s)[0])
 
 
 def solve_sdp(cost, m, opts=None, rng=None):
-    """Solve the support SDP by augmented-Lagrangian descent on a thin factor.
+    """Solve the support SDP by Riemannian descent on a thin, exactly
+    feasible factor.
 
     Z is parameterized as X X^T with X of width opts.factor_rank (default 3;
     a rank-one optimum exists, the extra columns help descent escape saddle
-    points).  opts.restarts jittered starts are run and the best feasible
-    objective kept.  Never raises on non-convergence: the best iterate is
-    returned with converged=False.
+    points).  A run is certified when its gradient is below tolerance and
+    the dual matrix S = C + y1 I + y2 J fitted to S X = 0 is positive
+    semidefinite, which makes X X^T a global optimum; converged=True means
+    exactly that.  The first start is deterministic; jittered restarts, up
+    to opts.restarts runs in all, follow only while no run is certified,
+    and the certified (else the lowest-objective) run is kept.  Never raises
+    on non-convergence.
 
     Parameters
     ----------
@@ -231,60 +230,60 @@ def solve_sdp(cost, m, opts=None, rng=None):
     opts = opts or SdpOptions()
     rng = rng if rng is not None else np.random.default_rng(_SEED)
     k = float(nt - m)
-    k2 = k * k
+    ra, ry = k / nt, math.sqrt(k - k * k / nt)
     p = min(opts.factor_rank, nt)
     scale = float(np.linalg.norm(c))
     ch = c / scale if scale > 0 else c
+    c1 = ch @ np.ones(nt)
 
-    # first start is deterministic and exactly feasible: a uniform column
-    # carries the sum constraint, a mean-zero column tops up the trace
+    # a feasible first start, the uniform column plus an alternating one;
+    # later starts jitter it, and each start is split onto the two spheres
     base = np.zeros((nt, p))
-    base[:, 0] = k / nt
-    if p > 1:
-        spill = np.where(np.arange(nt) % 2 == 0, 1.0, -1.0) / math.sqrt(nt)
-        base[:, 1] = math.sqrt(max(k - k * k / nt, 0.0)) * spill
+    base[:, min(1, p - 1)] = np.where(np.arange(nt) % 2 == 0, 1.0, -1.0)
+    base -= base.mean(axis=0)
+    base *= ry / np.linalg.norm(base)
+    base[:, 0] += ra
     best = None
-    total_iters = total_matvecs = 0
-    for start in range(opts.restarts):
-        if start == 0:
-            x0 = base
-        else:
-            x0 = base + _JITTER * math.sqrt(k / nt) * rng.standard_normal((nt, p))
-        x, iters, matvecs, ok = _alm(ch, x0, k, k2, opts)
+    total_iters = 0
+    for runs in range(1, opts.restarts + 1):
+        x = base
+        if runs > 1:
+            x = base + _JITTER * math.sqrt(k / nt) * rng.standard_normal((nt, p))
+        a = _column_sums(x) / nt
+        y = x - a
+        a, y = a * (ra / np.linalg.norm(a)), y * (ry / np.linalg.norm(y))
+        a, y, cy, iters, gnorm = _sphere_descent(ch, c1, a, y, ch @ y, ra, ry, opts.max_inner)
         total_iters += iters
-        total_matvecs += matvecs + 1
-        norm = np.linalg.norm(x)
-        if norm > 0:
-            scaled = x * (math.sqrt(k) / norm)
-            s = scaled.sum(axis=0)
-            if abs(float(s @ s) - k2) <= opts.feas_tol * k2:
-                x = scaled
-        obj = float(((c @ x) * x).sum())
+        x = y + a
+        cx = np.outer(c1, a) + cy
+        lam = _certificate(ch, x, cx)
+        ok = gnorm <= _GRAD_TOL and lam >= -_CERT_TOL
+        obj = scale * float(np.vdot(cx, x))
         if best is None or (ok, -obj) > (best[2], -best[1]):
-            best = (x, obj, ok, iters)
-    x, obj, ok, iters = best
+            best = (x, obj, ok, iters, lam, gnorm)
+        if ok:
+            break
+    x, obj, ok, iters, lam, gnorm = best
 
-    s = x.sum(axis=0)
-    row_sums = x @ s
+    s = _column_sums(x)
     z = x @ x.T
     sol = SdpSolution(
         factor=x,
         objective=obj,
-        row_sums=row_sums,
-        trace_residual=abs(float((x * x).sum()) - k),
-        sum_residual=abs(float(s @ s) - k2),
+        row_sums=x @ s,
+        trace_residual=abs(float(np.vdot(x, x)) - k),
+        sum_residual=abs(float(s @ s) - k * k),
         negative_entry=max(0.0, -float(z.min())),
         diag_excess=max(0.0, float(np.diagonal(z).max()) - 1.0),
         iterations=iters,
         converged=ok,
         total_iterations=total_iters,
-        matvecs=total_matvecs,
+        matvecs=total_iters + runs,
+        lambda_min=lam,
     )
     if not ok:
-        logger.warning(
-            "SDP solver did not converge (trace residual %.3g, sum residual %.3g)",
-            sol.trace_residual, sol.sum_residual,
-        )
+        logger.warning("SDP solver not certified (gradient norm %.3g, lambda_min %.3g)",
+                       gnorm, lam)
     return sol
 
 

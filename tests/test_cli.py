@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import netcontrast
+from netcontrast import harness, support
 from netcontrast.cli import main
 from netcontrast.matio import read_matrix, write_matrix
 
@@ -60,6 +62,8 @@ def test_recover_sdp_finds_planted_support(dataset, tmp_path):
     assert rec["sdp"]["trace_residual"] <= 1e-6 * (rec["kept_count"] - 4)
     sdp = rec["sdp"]
     assert 0 < sdp["iterations"] <= sdp["total_iterations"] <= sdp["matvecs"]
+    # converged means certified: S = C + y1 I + y2 J is positive semidefinite
+    assert sdp["converged"] is True and sdp["lambda_min"] >= -support._CERT_TOL
     assert rec["tau"] is not None and 0.2 < rec["tau"] < 3.0
 
 
@@ -183,15 +187,20 @@ def test_recover_rejects_non_finite_input(dataset, tmp_path, capsys):
     assert "nan.txt" in capsys.readouterr().err
 
 
-def test_recover_nonconverged_exit_code(dataset, tmp_path):
+def test_recover_nonconverged_exit_code(dataset, tmp_path, monkeypatch):
+    # one descent iteration per run cannot reach the gradient tolerance
+    settings = harness.solver_settings
+    monkeypatch.setattr(harness, "solver_settings", lambda o: (
+        dataclasses.replace(settings(o)[0], max_inner=1), settings(o)[1]))
     out = tmp_path / "bad.json"
     rc = main([
         "recover", "--y1", str(dataset / "y1_00.txt"),
-        "--method", "sdp", "--m", "4",
-        "--sdp-feas-tol", "1e-15", "--sdp-restarts", "1", "--out", str(out),
+        "--method", "sdp", "--m", "4", "--sdp-restarts", "1", "--out", str(out),
     ])
     assert rc == 2
-    assert json.loads(out.read_text())["converged"] is False
+    rec = json.loads(out.read_text())
+    assert rec["converged"] is False and rec["sdp"]["converged"] is False
+    assert rec["sdp"]["iterations"] == 1
 
 
 def test_refine_all_estimators(dataset, tmp_path):
@@ -261,7 +270,7 @@ def test_refine_rejects_negative_rank(dataset, capsys):
 @pytest.mark.parametrize("flags", [
     ["--rank", "61"], ["--y0", "{small}", "{small}", "{small}"], ["--truth", "{small}"],
     ["--support", "99"], ["--support", "-1"], ["--support", "60"], ["--support", "1,x"],
-    ["--truth-support", "60"],
+    ["--truth-support", "60"], ["--rank", "0"],
 ])
 def test_refine_bad_input_exit_one(dataset, tmp_path, capsys, flags):
     # rejected before any estimator runs, so no JSON record is printed

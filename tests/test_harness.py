@@ -21,6 +21,7 @@ from netcontrast.harness import (
     write_results,
     write_summary,
 )
+from netcontrast.support import SdpOptions
 
 
 def small_snr_cfg(**over):
@@ -189,8 +190,8 @@ def test_threads_is_not_a_config_key(tmp_path):
 
 def test_solver_settings_defaults_and_overrides():
     opts, gl = solver_settings({})
-    assert (opts.factor_rank, opts.restarts, opts.feas_tol, opts.max_inner,
-            opts.max_outer) == (3, 3, 1e-6, 300, 80)
+    assert (opts.factor_rank, opts.restarts, opts.max_inner) == (3, 3, 300)
+    assert opts == SdpOptions()
     assert gl == {"grid_size": 40, "floor_ratio": 0.85, "rho": 1.0, "tol": None,
                   "max_iter": 5000}
     opts, gl = solver_settings({"sdp_rank": "2", "sdp_restarts": 1, "gl_tol": "1e-5",

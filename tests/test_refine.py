@@ -441,15 +441,25 @@ def test_estimate_shares_one_eigensolve(monkeypatch):
     assert len(calls) == 1
 
 
-def test_estimate_reports_failures_as_messages():
+def test_estimate_reports_failures_as_messages(monkeypatch):
     c = refine_copies(60, 33, count=3)
     out = estimate(("mhat1", "mhat2"), 3, c, c[0], c[1], c[2:])
     assert out[0][2] is None and out[0][1].shape == (60, 60)
     assert out[1] == ("mhat2", None, "mhat2 needs two extra control matrices")
-    # a failed eigensolve fails both of its estimators, with its message
+    # a failed eigensolve fails both of its estimators, with its message, and
+    # is not repeated for the second
+    calls = []
+    original = refine.asymmetric_eigenpairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "asymmetric_eigenpairs", counting)
     out = estimate(("spec", "mhat1", "mhat2"), 0, c, c[0], c[1], c[1:])
     assert out[0][2] is None and not out[0][1].any()
     assert [error for _, _, error in out[1:]] == ["need 1 <= rank <= n, got rank=0"] * 2
+    assert len(calls) == 1
     with pytest.raises(ValueError, match="among"):
         estimate(("spec", "mhat3"), 3, c, c[0], c[1])
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcontrast import support
+from netcontrast.harness import config_from_mapping, run_experiment
 from netcontrast.model import sample_node_sparse
 from netcontrast.support import (
     SdpOptions,
@@ -105,12 +106,12 @@ def test_sdp_recovers_planted_support_noiseless():
 
 def test_sdp_residuals_within_tolerance_when_converged():
     resid, _ = planted_residual(50, 4, 1.0, 4, sigma=0.5)
-    opts = SdpOptions()
-    sol = solve_sdp(build_cost(resid), 4, opts=opts)
+    sol = solve_sdp(build_cost(resid), 4)
     k = 50 - 4
     assert sol.converged
-    assert sol.trace_residual <= opts.feas_tol * k
-    assert sol.sum_residual <= opts.feas_tol * k * k
+    # every iterate is feasible, so the residuals are rounding only
+    assert sol.trace_residual <= 1e-12 * k
+    assert sol.sum_residual <= 1e-12 * k * k
     z = sol.z()
     assert np.linalg.eigvalsh(z).min() >= -1e-9
     # monitors only: the relaxation does not constrain entries or the diagonal
@@ -142,16 +143,10 @@ def test_sdp_support_invariant_to_cost_scale():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("field", ["factor_rank", "restarts", "max_inner", "max_outer"])
+@pytest.mark.parametrize("field", ["factor_rank", "restarts", "max_inner"])
 def test_sdp_options_reject_counts_below_one(field):
     with pytest.raises(ValueError, match=field):
         SdpOptions(**{field: 0})
-
-
-@pytest.mark.parametrize("feas_tol", [0.0, -1e-6, math.nan])
-def test_sdp_options_reject_nonpositive_feas_tol(feas_tol):
-    with pytest.raises(ValueError, match="feas_tol"):
-        SdpOptions(feas_tol=feas_tol)
 
 
 def test_sdp_input_validation():
@@ -169,59 +164,80 @@ def test_sdp_input_validation():
     assert solve_sdp(sym, 2).factor.shape == (6, 3)
 
 
+def _sphere_start(n, m, p, rng):
+    """A random feasible factor (a, Y) and the two sphere radii."""
+    k = n - m
+    ra, ry = k / n, math.sqrt(k - k * k / n)
+    a = rng.standard_normal(p)
+    y = rng.standard_normal((n, p))
+    y -= y.mean(axis=0)
+    return a * (ra / np.linalg.norm(a)), y * (ry / np.linalg.norm(y)), ra, ry
+
+
 def test_line_search_closed_form_matches_direct_evaluation():
     rng = rng_of(11)
-    n, p, k = 25, 3, 20.0
-    a = rng.standard_normal((n, n))
-    c = a + a.T
-    x = rng.standard_normal((n, p))
-    g = rng.standard_normal((n, p))
-    y1, y2, rho = 0.7, -0.3, 5.0
-    coef = support._line_coefficients(c @ x, c @ g, x, g)
+    n, p = 25, 3
+    b = rng.standard_normal((n, n))
+    c = b + b.T
+    a, y, ra, ry = _sphere_start(n, 5, p, rng)
+    c1 = c @ np.ones(n)
+    _, g_a, g_y, _ = support._sphere_grad(c1, a, y, c @ y, ra * ra, ry * ry)
+    coef = support._retraction_coefficients(a, y, c @ y, g_a, g_y, c @ g_y)
     for t in (0.0, 1e-6, 1e-3, 0.1, 0.5, 2.0):
-        xt = x - t * g
-        direct, _, _, _ = support._al_value_grad(c @ xt, xt, y1, y2, rho, k, k * k)
-        closed = support._line_value(coef, t, y1, y2, rho, k, k * k)
+        at = (a - t * g_a) * (ra / np.linalg.norm(a - t * g_a))
+        yt = (y - t * g_y) * (ry / np.linalg.norm(y - t * g_y))
+        xt = np.outer(np.ones(n), at) + yt
+        direct = float(np.vdot(c @ xt, xt))
+        closed = support._retraction_value(coef, t, float(c1.sum()), ra * ra, ry * ry)
         assert closed == pytest.approx(direct, rel=1e-10)
 
 
-def _reference_descent(c, x, y1, y2, rho, k, k2, steps):
-    # the descent with one fresh product per trial step, as a reference
-    def value_grad(x):
-        return support._al_value_grad(c @ x, x, y1, y2, rho, k, k2)[:2]
-    f, g = value_grad(x)
-    hist = [f]
-    step = 1.0 / max(np.linalg.norm(g), 1.0)
-    for _ in range(steps):
-        gn2 = float((g * g).sum())
-        t = step
-        for _ in range(40):
-            xn = x - t * g
-            fn, gnew = value_grad(xn)
-            if fn <= max(hist[-10:]) - 1e-4 * t * gn2:
-                break
-            t *= 0.5
-        dx, dg = xn - x, gnew - g
-        sy = float((dx * dg).sum())
-        step = float((dx * dx).sum()) / sy if sy > 1e-16 else 2.0 * t
-        step = min(max(step, 1e-12), 1e6)
-        x, g = xn, gnew
-        hist.append(fn)
-    return x
-
-
-def test_descent_follows_reference_iterates():
-    # the same method in exact arithmetic; rounding differences grow along the
-    # trajectory, so only the first steps are compared
+def test_sphere_gradient_is_the_tangent_projection():
+    # 1 g_a^T + g_y is 2 C X minus its components along the two constraint
+    # normals, and the cost is <C X, X>
     rng = rng_of(12)
-    n, p, k = 40, 3, 35.0
+    n, p = 30, 3
+    b = rng.standard_normal((n, n))
+    c = b + b.T
+    a, y, ra, ry = _sphere_start(n, 4, p, rng)
+    x = np.outer(np.ones(n), a) + y
+    f, g_a, g_y, gn2 = support._sphere_grad(c @ np.ones(n), a, y, c @ y, ra * ra, ry * ry)
+    assert f == pytest.approx(float(np.vdot(c @ x, x)), rel=1e-12)
+    g = np.outer(np.ones(n), g_a) + g_y
+    assert gn2 == pytest.approx(float(np.vdot(g, g)), rel=1e-12)
+    assert abs(float(g_a @ a)) <= 1e-12 * np.linalg.norm(g_a) * ra
+    assert abs(float(np.vdot(g_y, y))) <= 1e-12 * np.linalg.norm(g_y) * ry
+    assert np.abs(g_y.sum(axis=0)).max() <= 1e-10 * np.abs(g_y).max()
+    # what was removed from 2 C X lies in span{1 a^T, Y}
+    resid = 2.0 * (c @ x) - g
+    basis = np.stack([np.outer(np.ones(n), a).ravel(), y.ravel()], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, resid.ravel(), rcond=None)
+    np.testing.assert_allclose(basis @ coef, resid.ravel(), atol=1e-10 * np.abs(resid).max())
+
+
+@pytest.mark.parametrize("n,m,seed", [(2, 1, 11), (40, 5, 14)])
+def test_sphere_descent_iterates_stay_exactly_feasible(n, m, seed):
+    # at n = 2, seed 11, rounding in the mean of Y grows to 1e-9 within nine
+    # steps unless the retraction removes it
+    rng = rng_of(seed)
+    k = n - m
     c = build_cost(symmetric_noise(n, rng))
     c /= np.linalg.norm(c)
-    x0 = rng.standard_normal((n, p))
-    for steps in (1, 3, 6):
-        want = _reference_descent(c, x0, 0.3, -0.1, 2.0, k, k * k, steps)
-        got = support._bb_descent(c, x0, 0.3, -0.1, 2.0, k, k * k, 0.0, steps)[0]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    c1 = c @ np.ones(n)
+    a0, y0, ra, ry = _sphere_start(n, m, 3, rng)
+    for cap in range(1, 31):
+        a, y, cy, it, _ = support._sphere_descent(c, c1, a0, y0, c @ y0, ra, ry, cap)
+        x = np.outer(np.ones(n), a) + y
+        assert abs(float(np.linalg.norm(a)) - k / n) <= 1e-12 * (k / n)
+        assert abs(float(np.vdot(y, y)) - (k - k * k / n)) <= 1e-12 * (k - k * k / n)
+        assert np.abs(y.sum(axis=0)).max() <= 1e-12 * ry
+        # hence tr Z = K and <J, Z> = K^2
+        assert abs(float(np.vdot(x, x)) - k) <= 1e-12 * k
+        assert abs(float(np.sum(x.sum(axis=0) ** 2)) - k * k) <= 1e-12 * k * k
+        np.testing.assert_allclose(cy, c @ y, rtol=0, atol=1e-12)
+        if it < cap:
+            break
+    assert it >= 5
 
 
 class _CountingOperator:
@@ -233,32 +249,85 @@ class _CountingOperator:
         return self.a @ v
 
 
-def test_sdp_one_cost_product_per_descent_step(monkeypatch):
-    rng = rng_of(13)
-    c = build_cost(symmetric_noise(30, rng))
-    op = _CountingOperator(c / np.linalg.norm(c))
-    x0 = rng.standard_normal((30, 3))
-    *_, it, matvecs = support._bb_descent(op, x0, 0.0, 0.0, 1.0, 27.0, 729.0, 0.0, 25)
-    assert it == 25 and matvecs == op.products == it + 1
-
-    calls = []
-    descent = support._bb_descent
+def _record_runs(monkeypatch):
+    """The iteration counts of the descent runs that solve_sdp makes."""
+    runs = []
+    descent = support._sphere_descent
 
     def counted(*args):
-        calls.append(1)
-        return descent(*args)
+        out = descent(*args)
+        runs.append(out[3])
+        return out
 
-    monkeypatch.setattr(support, "_bb_descent", counted)
+    monkeypatch.setattr(support, "_sphere_descent", counted)
+    return runs
+
+
+def test_sdp_one_cost_product_per_descent_step(monkeypatch):
+    rng = rng_of(13)
+    n = 30
+    c = build_cost(symmetric_noise(n, rng))
+    c /= np.linalg.norm(c)
+    op = _CountingOperator(c)
+    a0, y0, ra, ry = _sphere_start(n, 3, 3, rng)
+    *_, it, gnorm = support._sphere_descent(op, c @ np.ones(n), a0, y0, c @ y0, ra, ry, 25)
+    assert 0 < it <= 25 and op.products == it
+    assert it == 25 or gnorm <= support._GRAD_TOL
+
+    runs = _record_runs(monkeypatch)
     resid, _ = planted_residual(30, 3, 1.0, 6, sigma=0.8)
     opts = SdpOptions(restarts=3)
     sol = solve_sdp(build_cost(resid), 3, opts=opts, rng=rng_of(2))
-    assert sol.iterations <= sol.total_iterations
-    assert sol.total_iterations <= opts.restarts * opts.max_outer * opts.max_inner
-    # one product per descent step, plus one per descent call (c @ x at its
-    # start, where the last step it counts may be the gradient test) and one
-    # per restart (the objective of the rescaled factor)
-    assert sol.total_iterations + opts.restarts <= sol.matvecs
-    assert sol.matvecs <= sol.total_iterations + len(calls) + opts.restarts
+    # the first run is certified, so no restart runs
+    assert sol.converged and len(runs) == 1
+    assert sol.iterations == sol.total_iterations == runs[0] <= opts.max_inner
+    # one product per descent step plus C Y at the start of each run
+    assert sol.matvecs == sol.total_iterations + len(runs)
+
+
+def test_sdp_restarts_only_while_uncertified(monkeypatch):
+    resid, _ = planted_residual(30, 3, 1.0, 6, sigma=0.8)
+    runs = _record_runs(monkeypatch)
+    monkeypatch.setattr(support, "_certificate", lambda c, x, cx: -1.0)
+    sol = solve_sdp(build_cost(resid), 3, opts=SdpOptions(restarts=3), rng=rng_of(2))
+    assert not sol.converged and sol.lambda_min == -1.0
+    assert len(runs) == 3 and sol.total_iterations == sum(runs)
+    assert sol.iterations in runs
+    assert sol.matvecs == sol.total_iterations + 3
+
+
+def test_certificate_matches_least_squares_dual():
+    resid, _ = planted_residual(40, 4, 1.0, 15, sigma=0.5)
+    c = build_cost(resid)
+    sol = solve_sdp(c, 4)
+    ch = c / np.linalg.norm(c)
+    x = sol.factor
+    n = x.shape[0]
+    ones = np.ones((n, 1))
+    basis = np.stack([x.ravel(), (ones @ (ones.T @ x)).ravel()], axis=1)
+    (y1, y2), *_ = np.linalg.lstsq(basis, -(ch @ x).ravel(), rcond=None)
+    s = ch + y1 * np.eye(n) + y2
+    assert sol.lambda_min == pytest.approx(np.linalg.eigvalsh(s)[0], abs=1e-12)
+    assert sol.converged and sol.lambda_min >= -support._CERT_TOL
+    assert np.linalg.norm(s @ x) <= 1e-7 * np.linalg.norm(x)
+
+
+def test_every_sdp_solve_of_a_preset_run_is_certified(monkeypatch):
+    solutions = []
+    solve = support.solve_sdp
+
+    def recorder(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        solutions.append(sol)
+        return sol
+
+    monkeypatch.setattr(support, "solve_sdp", recorder)
+    run_experiment(config_from_mapping({"preset": "exp-snr", "n": "300", "trials": "2",
+                                        "seed": "0", "methods": "sdp"}))
+    assert len(solutions) == 10  # 5 default points x 2 trials
+    for sol in solutions:
+        assert sol.converged
+        assert sol.lambda_min >= -support._CERT_TOL
 
 
 def test_sdp_matches_exhaustive_noiseless():
