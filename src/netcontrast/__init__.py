@@ -29,6 +29,7 @@ from .spectral import (
     form_residual,
     select_low_coherence,
     spectral_init,
+    stage_one,
 )
 from .support import (
     GroupLassoPath,

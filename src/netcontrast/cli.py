@@ -198,18 +198,11 @@ def _cmd_recover(args):
         raise ConfigError(f"--rank must be >= 0, got {rank}")
     if rank > 0 and not y0s:
         raise ConfigError("--rank > 0 needs at least one control matrix (--y0)")
-    base = y0s if y0s else [y1s[0]]
     try:
-        dec = spectral.spectral_init(base, rank)
-        screening = None if args.no_screen else spectral.select_low_coherence(dec, args.c_screen)
+        resids, kept, tau = spectral.stage_one(y1s, y0s, rank,
+                                               None if args.no_screen else args.c_screen)
     except ValueError as exc:
         raise ConfigError(f"stage 1: {exc}") from None
-    kept = None if screening is None else screening.kept
-    resids = [spectral.form_residual(y, dec, screening) for y in y1s]
-    try:
-        tau = spectral.estimate_noise_scale(base[0], dec)
-    except ValueError:
-        tau = None
     nt = resids[0].shape[0]
 
     record = {"n": n, "rank": rank, "method": args.method,
@@ -221,8 +214,8 @@ def _cmd_recover(args):
         if tau is None:
             raise ConfigError("--m-auto needs a noise-scale estimate")
         m0 = m if m is not None else int(math.ceil(2 * math.log(nt)))
-        avg = resids[0] if len(resids) == 1 else np.mean(np.stack(resids), axis=0)
-        sel = support.select_m(avg, tau, m0, c_thresh=args.c_thresh, opts=opts, rng=rng)
+        sel = support.select_m(spectral._average(resids), tau, m0, c_thresh=args.c_thresh,
+                               opts=opts, rng=rng)
         m = sel.m
         record["m_auto"] = {"m": int(sel.m), "converged": sel.converged,
                             "steps": sel.steps}
@@ -287,7 +280,7 @@ def _cmd_refine(args):
     # the composite splices the treatment mean (else the first control) with
     # the next control; the two controls after it are mhat2's extras
     if masked1:
-        upper, rest = np.mean(np.stack(masked1), axis=0), masked0
+        upper, rest = spectral._average(masked1), masked0
     else:
         upper, rest = masked0[0], masked0[1:]
     wanted = refine.ESTIMATORS if args.which == "all" else (args.which,)

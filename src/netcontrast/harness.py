@@ -446,6 +446,13 @@ def _check_methods(cfg, allowed, default):
     return methods
 
 
+# the support methods that a preset's cells can feed: sdp-multi needs two
+# residual copies and sdp-trunc a noise scale
+_ONE_COPY = tuple(m for m in support.METHODS if m != "sdp-multi")
+_ONE_COPY_NO_TAU = tuple(m for m in _ONE_COPY if m != "sdp-trunc")
+_TWO_COPIES_NO_TAU = tuple(m for m in support.METHODS if m != "sdp-trunc")
+
+
 def _rule(o, key, default, n_list, extra=None):
     expr = o.get(key, default)
     for n in n_list:
@@ -484,7 +491,7 @@ def _build_snr(cfg):
     """Planted-model FNR sweep over the perturbation scale coefficient C."""
     n_list = cfg.n_list or (300,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, support.METHODS, ("sdp", "glasso"))
+    methods = _check_methods(cfg, _ONE_COPY, ("sdp", "glasso"))
     params = cfg.params or ("0.8", "1.2", "1.6", "2.0", "2.4")
     o = cfg.options
     settings = solver_settings(o)
@@ -506,14 +513,8 @@ def _build_snr(cfg):
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
         gt = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
-        dec = spectral.spectral_init(obs.g0, r)
-        keep = spectral.select_low_coherence(dec, c_screen)
-        resid = spectral.form_residual(obs.g1[0], dec, keep)
-        try:
-            tau = spectral.estimate_noise_scale(obs.g0[0], dec)
-        except ValueError:
-            tau = None
-        return _support_fnr(methods, resid, tau, m, truth_sup, keep.kept, mrngs, settings, timing)
+        resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen)
+        return _support_fnr(methods, resids, tau, m, truth_sup, kept, mrngs, settings, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -525,7 +526,7 @@ def _build_glfail(cfg):
         raise ConfigError(f"{cfg.preset}: the decoy construction needs n >= 100, "
                           f"got n={min(n_list)}")
     trials = cfg.trials or 50
-    methods = _check_methods(cfg, support.METHODS, ("sdp", "glasso", "hard"))
+    methods = _check_methods(cfg, _ONE_COPY_NO_TAU, ("sdp", "glasso", "hard"))
     params = cfg.params or ("decoy",)
     o = cfg.options
     settings = solver_settings(o)
@@ -543,7 +544,7 @@ def _build_multicopy(cfg):
     """Product cost from two copies vs squared averaged copy, row-hetero noise."""
     n_list = cfg.n_list or (400,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, support.METHODS, ("sdp-multi", "sdp"))
+    methods = _check_methods(cfg, _TWO_COPIES_NO_TAU, ("sdp-multi", "sdp"))
     params = cfg.params or ("3.2",)
     o = cfg.options
     settings = solver_settings(o)
@@ -567,7 +568,7 @@ def _build_heavytail(cfg):
     """Truncated vs vanilla cost under scaled Student-t(4) noise."""
     n_list = cfg.n_list or (400,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, support.METHODS, ("sdp-trunc", "sdp"))
+    methods = _check_methods(cfg, _ONE_COPY, ("sdp-trunc", "sdp"))
     params = cfg.params or ("2.0",)
     o = cfg.options
     settings = solver_settings(o)
@@ -581,9 +582,8 @@ def _build_heavytail(cfg):
         sigma_b = eval_rule(sb_rule, n=n, C=coeff)
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
-        dec0 = spectral.spectral_init(y, 0)
-        tau = spectral.estimate_noise_scale(y, dec0)
-        return _support_fnr(methods, y, tau, m, truth_sup, None, mrngs, settings, timing)
+        resids, _, tau = spectral.stage_one([y], [], 0, c_screen=None)
+        return _support_fnr(methods, resids, tau, m, truth_sup, None, mrngs, settings, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -602,7 +602,7 @@ def _build_coherence(cfg):
     """Screening on/off across eigenvector coherence levels."""
     n_list = cfg.n_list or (500,)
     trials = cfg.trials or 20
-    methods = _check_methods(cfg, support.METHODS, ("sdp",))
+    methods = _check_methods(cfg, _ONE_COPY, ("sdp",))
     mu_exprs = ("log(n)", "sqrt(n/log(n))", "sqrt(n)*log(n)", "n**0.75")
     params = cfg.params or tuple(
         f"mu={expr}|screen={arm}" for expr in mu_exprs for arm in ("on", "off"))
@@ -639,15 +639,8 @@ def _build_coherence(cfg):
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng, support_pool=pool)
         gt = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
-        dec = spectral.spectral_init(obs.g0, r)
-        if screen:
-            keep = spectral.select_low_coherence(dec, c_screen)
-            resid = spectral.form_residual(obs.g1[0], dec, keep)
-            kept = keep.kept
-        else:
-            resid = spectral.form_residual(obs.g1[0], dec)
-            kept = None
-        return _support_fnr(methods, resid, None, m, truth_sup, kept, mrngs, settings, timing)
+        resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen if screen else None)
+        return _support_fnr(methods, resids, tau, m, truth_sup, kept, mrngs, settings, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 

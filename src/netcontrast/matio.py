@@ -15,11 +15,9 @@ def write_matrix(path, mat):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n}\n")
-        for row in mat:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(f"{mat.shape[0]}\n")
+        np.savetxt(fh, mat, fmt="%.17g")
 
 
 def read_matrix(path, require_symmetric=True):

@@ -1,5 +1,5 @@
 """Stage one: spectral estimate of the shared matrix, node screening, residuals,
-and the data-driven noise scale."""
+and the data-driven noise scale; stage_one chains the four."""
 
 from dataclasses import dataclass
 import math
@@ -24,10 +24,6 @@ class RankDecomposition:
     def n(self):
         return self.right.shape[0]
 
-    @property
-    def rank(self):
-        return self.right.shape[1]
-
     def reconstruct(self):
         a = (self.right * self.values) @ self.right.T
         return 0.5 * (a + a.T)
@@ -45,23 +41,25 @@ def _sign_fix(vecs):
 def _average(mats):
     """Elementwise mean of one square matrix or a list of equal-shape ones.
 
-    Summed in order and divided by the count, which is bit for bit
-    np.mean(np.stack(mats), axis=0) without the stacked copy.  Raises
-    ValueError on an empty list, unequal or non-square shapes, or a
-    non-finite mean.
+    Summed in order and divided by the count, which is bit for bit numpy's
+    mean of the stacked matrices along axis 0, without the stacked copy; one
+    float matrix comes back as it is, not copied.  Raises ValueError on an
+    empty list, unequal or non-square shapes, or a non-finite mean.
     """
     mats = mats if isinstance(mats, (list, tuple)) else [mats]
     if not mats:
         raise ValueError("need at least one matrix")
-    total = np.array(mats[0], dtype=float)
+    total = np.asarray(mats[0], dtype=float)
     if total.ndim != 2 or total.shape[0] != total.shape[1]:
         raise ValueError(f"matrices must be square, got shape {total.shape}")
-    for y in mats[1:]:
-        y = np.asarray(y, dtype=float)
-        if y.shape != total.shape:
-            raise ValueError(f"matrices must share one shape: {total.shape} vs {y.shape}")
-        total += y
-    total /= len(mats)
+    if len(mats) > 1:
+        total = total.copy()
+        for y in mats[1:]:
+            y = np.asarray(y, dtype=float)
+            if y.shape != total.shape:
+                raise ValueError(f"matrices must share one shape: {total.shape} vs {y.shape}")
+            total += y
+        total /= len(mats)
     if not np.isfinite(total).all():
         raise ValueError("matrices must be finite")
     return total
@@ -151,3 +149,21 @@ def estimate_noise_scale(y0, dec, c_s=2.0):
         )
     resid = (y0 - dec.reconstruct())[np.ix_(s, s)]
     return float(np.linalg.norm(resid)) / s.size
+
+
+def stage_one(treatments, controls, rank, c_screen=2.0):
+    """(residuals, kept, tau): each treatment's form_residual against the
+    spectral_init of the mean control (else of the first treatment), on the
+    nodes that select_low_coherence keeps (all, and kept None, when c_screen
+    is None), and the estimate_noise_scale of that first control or
+    treatment, None when it raises ValueError.  The ValueErrors of
+    spectral_init and the screening propagate."""
+    base = list(controls) or [treatments[0]]
+    dec = spectral_init(base, rank)
+    screening = None if c_screen is None else select_low_coherence(dec, c_screen)
+    residuals = [form_residual(y, dec, screening) for y in treatments]
+    try:
+        tau = estimate_noise_scale(base[0], dec)
+    except ValueError:
+        tau = None
+    return residuals, None if screening is None else screening.kept, tau

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .spectral import _average
+
 logger = logging.getLogger(__name__)
 
 
@@ -35,9 +37,8 @@ def build_cost(residuals, mode="single", tau=None):
                entrywise product (may be negative)
     """
     mats = [residuals] if isinstance(residuals, np.ndarray) else list(residuals)
-    mats = [np.asarray(y, dtype=float) for y in mats]
     if mode in ("single", "truncated"):
-        avg = mats[0] if len(mats) == 1 else np.mean(np.stack(mats), axis=0)
+        avg = _average(mats)
         c = avg * avg
         if mode == "truncated":
             if tau is None or tau <= 0:
@@ -48,9 +49,7 @@ def build_cost(residuals, mode="single", tau=None):
         if len(mats) < 2:
             raise ValueError("multi mode needs at least 2 residual copies")
         half = (len(mats) + 1) // 2
-        a = np.mean(np.stack(mats[:half]), axis=0)
-        b = np.mean(np.stack(mats[half:]), axis=0)
-        return a * b
+        return _average(mats[:half]) * _average(mats[half:])
     raise ValueError(f"unknown cost mode {mode!r}")
 
 
@@ -566,11 +565,8 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None,
     """
     if method not in METHODS:
         raise ValueError(f"unknown support method {method!r}; use one of {', '.join(METHODS)}")
-    copies = [residuals] if isinstance(residuals, np.ndarray) else list(residuals)
-    avg = copies[0] if len(copies) == 1 else np.mean(np.stack(copies), axis=0)
-    # a NaN or inf in any copy reaches the average
-    if not np.isfinite(avg).all():
-        raise ValueError("residuals must be finite")
+    # a NaN or inf in any copy reaches the average, which rejects it
+    avg = _average(residuals)
     sol = None
     if method == "glasso":
         grid = lambda_grid(avg, num=grid_size, floor_ratio=floor_ratio)
@@ -585,7 +581,7 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None,
         elif method == "sdp-trunc":
             cost = build_cost(avg, mode="truncated", tau=tau)
         else:
-            cost = build_cost(copies, mode="multi")
+            cost = build_cost(residuals, mode="multi")
         sol = solve_sdp(cost, m, opts=opts, rng=rng)
         idx = extract_support(sol, m)
     return (idx if kept is None else np.asarray(kept, dtype=int)[idx]), sol

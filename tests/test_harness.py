@@ -398,3 +398,22 @@ def test_multicopy_preset_row_count():
     rows = run_experiment(cfg).rows
     assert len(rows) == 2  # sdp-multi and sdp
     assert {r.method for r in rows} == {"sdp-multi", "sdp"}
+
+
+@pytest.mark.parametrize("preset,method", [
+    ("exp-snr", "sdp-multi"), ("exp-glfail", "sdp-multi"), ("exp-heavytail", "sdp-multi"),
+    ("exp-coherence", "sdp-multi"), ("exp-glfail", "sdp-trunc"), ("exp-multicopy", "sdp-trunc"),
+])
+def test_support_presets_reject_methods_their_cells_cannot_feed(preset, method):
+    # sdp-multi needs two residual copies and sdp-trunc a noise scale; a
+    # preset whose cells cannot feed one refuses it before any trial runs
+    with pytest.raises(ConfigError, match=f"{method}.*not valid for preset"):
+        build_plan(config_from_mapping({"preset": preset, "methods": method}))
+
+
+def test_coherence_preset_feeds_sdp_trunc_a_noise_scale():
+    cfg = config_from_mapping({"preset": "exp-coherence", "n": "80", "trials": "1",
+                               "params": "mu=log(n)|screen=on,mu=log(n)|screen=off",
+                               "methods": "sdp-trunc"})
+    rows = run_experiment(cfg).rows
+    assert len(rows) == 2 and all(math.isfinite(r.value) for r in rows)

@@ -12,6 +12,9 @@ def test_round_trip_exact(tmp_path):
     write_matrix(path, m)
     back = read_matrix(path)
     assert np.array_equal(back, m)  # 17 digits round-trips doubles
+    # the exact text, with a signed zero, the least subnormal and an integer
+    write_matrix(path, [[-0.0, 5e-324], [5e-324, 3.0]])
+    assert path.read_text() == "2\n-0 4.9406564584124654e-324\n4.9406564584124654e-324 3\n"
 
 
 def test_rejects_asymmetric(tmp_path):

@@ -15,6 +15,7 @@ from netcontrast.spectral import (
     form_residual,
     select_low_coherence,
     spectral_init,
+    stage_one,
 )
 
 
@@ -202,3 +203,43 @@ def test_rank_decomposition_left_defaults_to_right():
     dec = RankDecomposition(right=q, left=q, values=np.array([3.0, 1.0]))
     rec = dec.reconstruct()
     assert np.allclose(rec, (q * [3.0, 1.0]) @ q.T)
+
+
+@pytest.mark.parametrize("case", ["screen", "no-screen", "rank-0-no-controls"])
+def test_stage_one_matches_the_chains_it_replaces(case):
+    # mu = n^0.75 gives spiky rows, so the screening drops some nodes
+    n, r = 120, 2
+    gt, rng = planted(n, r, n ** 0.75, 17)
+    b, _ = sample_node_sparse(n, 4, 1.0, rng)
+    noise = NoiseSpec(family="gaussian-iid", sigma=1.0)
+    y0 = [gt.shared_matrix() + sample_noise(n, noise, rng) for _ in range(2)]
+    y1 = [gt.shared_matrix() + b + sample_noise(n, noise, rng) for _ in range(2)]
+    if case == "rank-0-no-controls":
+        # the treatment is the base: no shared estimate, no screening
+        got = stage_one(y1[:1], [], 0, c_screen=None)
+        want = (y1[:1], None, estimate_noise_scale(y1[0], spectral_init(y1[0], 0)))
+    else:
+        dec = spectral_init(y0, r)
+        keep = select_low_coherence(dec) if case == "screen" else None
+        got = stage_one(y1, y0, r, c_screen=2.0 if case == "screen" else None)
+        want = ([form_residual(y, dec, keep) for y in y1], None if keep is None else keep.kept,
+                estimate_noise_scale(y0[0], dec))
+    (resids, kept, tau), (want_resids, want_kept, want_tau) = got, want
+    assert len(resids) == len(want_resids)
+    assert all(np.array_equal(a, w) for a, w in zip(resids, want_resids))
+    if case == "screen":
+        assert kept.size < n and np.array_equal(kept, want_kept)
+    else:
+        assert kept is None
+    assert tau == want_tau
+
+
+def test_stage_one_gives_no_tau_without_quiet_rows():
+    # a rank-n decomposition leaves no rows for the noise scale
+    n = 12
+    y = rng_of(18).standard_normal((n, n))
+    y = (y + y.T) / 2
+    with pytest.raises(ValueError):
+        estimate_noise_scale(y, spectral_init(y, n))
+    resids, kept, tau = stage_one([y], [y], n, c_screen=None)
+    assert tau is None and kept is None and resids[0].shape == (n, n)
