@@ -35,8 +35,8 @@ from .support import (
     GroupLassoPath,
     GroupLassoResult,
     MSelection,
-    SdpOptions,
     SdpSolution,
+    SolverOptions,
     build_cost,
     exhaustive_support,
     extract_support,

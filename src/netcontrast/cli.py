@@ -28,7 +28,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(p):
-    # unset flags stay out of args, so harness.solver_settings supplies the defaults
+    # unset flags stay out of args, so the support.SolverOptions defaults hold
     unset = argparse.SUPPRESS
     p.add_argument("--sdp-rank", type=int, default=unset, help="factor width of the SDP solver")
     p.add_argument("--sdp-restarts", type=int, default=unset, help="most SDP runs, until one is certified")
@@ -55,9 +55,9 @@ def _build_parser():
     g.add_argument("--eigenvalues", default="3*sqrt(n) + (r - i)*log(n)",
                    help="eigenvalue rule (expression in n, r, i)")
     g.add_argument("--noise", default="gaussian-iid", choices=model.NOISE_FAMILIES)
-    g.add_argument("--sigma", type=float, default=1.0)
-    g.add_argument("--sigma-min", type=float, default=0.8)
-    g.add_argument("--sigma-max", type=float, default=1.3)
+    g.add_argument("--sigma", type=float, default=model.NoiseSpec.sigma)
+    g.add_argument("--sigma-min", type=float, default=model.NoiseSpec.sigma_min)
+    g.add_argument("--sigma-max", type=float, default=model.NoiseSpec.sigma_max)
     g.add_argument("--g0", type=int, default=1, help="number of control observations")
     g.add_argument("--g1", type=int, default=1, help="number of treatment observations")
     g.add_argument("--shared", action="store_true",
@@ -73,9 +73,10 @@ def _build_parser():
     r.add_argument("--method", default="sdp", choices=support.METHODS)
     r.add_argument("--m", type=int, default=None, help="support size")
     r.add_argument("--m-auto", action="store_true", help="select the support size automatically")
-    r.add_argument("--c-thresh", type=float, default=1.0, help="m-selection slack constant")
+    r.add_argument("--c-thresh", type=float, default=support.C_THRESH,
+                   help="m-selection slack constant")
     r.add_argument("--no-screen", action="store_true", help="skip coherence screening")
-    r.add_argument("--c-screen", type=float, default=2.0, help="screening constant")
+    r.add_argument("--c-screen", type=float, default=spectral.C_SCREEN, help="screening constant")
     r.add_argument("--out", default=None, help="write the JSON record here (default stdout)")
     _add_solver_flags(r)
     r.set_defaults(func=_cmd_recover)
@@ -190,7 +191,7 @@ def _read_matrices(*groups):
 
 
 def _cmd_recover(args):
-    opts, gl = harness.solver_settings(vars(args))
+    opts = harness.solver_settings(vars(args))
     y1s, y0s = _read_matrices(args.y1, args.y0)
     n = y1s[0].shape[0]
     rank = args.rank
@@ -209,7 +210,7 @@ def _cmd_recover(args):
               "kept_count": int(nt), "tau": tau}
     rng = np.random.default_rng(args.seed)
 
-    m = args.m
+    m, sel = args.m, None
     if args.m_auto:
         if tau is None:
             raise ConfigError("--m-auto needs a noise-scale estimate")
@@ -225,10 +226,10 @@ def _cmd_recover(args):
 
     try:
         indices, sol = support.recover(args.method, resids, m, tau=tau, kept=kept,
-                                       opts=opts, rng=rng, **gl)
+                                       opts=opts, rng=rng)
     except ValueError as exc:
         raise ConfigError(f"--method {args.method}: {exc}") from None
-    converged = sol is None or sol.converged
+    converged = (sol is None or sol.converged) and (sel is None or sel.converged)
     if sol is not None:
         record["sdp"] = {"objective": sol.objective,
                          "trace_residual": sol.trace_residual,

@@ -18,7 +18,7 @@ import operator
 import time
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -372,56 +372,32 @@ def _timed(fn, timing):
 
 
 def solver_settings(o):
-    """(SdpOptions, glasso keywords of support.recover) from the sdp_*, gl_*
-    and lambda_floor keys of o (strings or numbers), with the SdpOptions and
-    front-end defaults; other keys are ignored and bad values raise
-    ConfigError."""
-    d = support.SdpOptions()
+    """The support.SolverOptions set by the keys of o (strings or numbers)
+    that name its fields; other keys are ignored, unset fields keep their
+    defaults, and bad values raise ConfigError."""
     try:
-        opts = support.SdpOptions(
-            factor_rank=int(o.get("sdp_rank", d.factor_rank)),
-            restarts=int(o.get("sdp_restarts", d.restarts)),
-            max_inner=int(o.get("sdp_max_inner", d.max_inner)),
-        )
-        gl = {
-            "grid_size": int(o.get("gl_grid", 40)),
-            "floor_ratio": float(o.get("lambda_floor", 0.85)),
-            "rho": float(o.get("gl_rho", 1.0)),
-            "tol": float(o["gl_tol"]) if "gl_tol" in o else None,
-            "max_iter": int(o.get("gl_max_iter", 5000)),
-        }
+        return support.SolverOptions(**{f.name: (int if f.type is int else float)(o[f.name])
+                                        for f in fields(support.SolverOptions) if f.name in o})
     except ValueError as exc:
         raise ConfigError(f"bad solver setting: {exc}") from None
-    if gl["grid_size"] < 1:
-        raise ConfigError(f"gl_grid must be >= 1, got {gl['grid_size']}")
-    if not gl["rho"] > 0:
-        raise ConfigError(f"gl_rho must be > 0, got {gl['rho']}")
-    if gl["max_iter"] < 1:
-        raise ConfigError(f"gl_max_iter must be >= 1, got {gl['max_iter']}")
-    return opts, gl
 
 
-def _noise_from(o, default_family, default_sigma=1.0):
+def _noise_from(o, family):
+    """The model.NoiseSpec of o's noise keys; unset ones keep its defaults."""
     try:
-        return model.NoiseSpec(
-            family=o.get("noise", default_family),
-            sigma=float(o.get("sigma", default_sigma)),
-            sigma_min=float(o.get("sigma_min", 0.8)),
-            sigma_max=float(o.get("sigma_max", 1.3)),
-            truncation=float(o["truncation"]) if "truncation" in o else None,
-        )
+        return model.NoiseSpec(family=o.get("noise", family), **{
+            k: float(o[k]) for k in ("sigma", "sigma_min", "sigma_max", "truncation") if k in o})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _support_fnr(methods, resids, tau, m, truth, kept, mrngs, settings, timing):
+def _support_fnr(methods, resids, tau, m, truth, kept, mrngs, opts, timing):
     """One trial's FNR per support method; resids is a matrix or list of copies."""
-    opts, gl = settings
     rows = []
     for meth in methods:
         def run(meth=meth):
             idx, sol = support.recover(meth, resids, m, tau=tau, kept=kept,
-                                       opts=opts, rng=mrngs[meth], **gl)
+                                       opts=opts, rng=mrngs[meth])
             return support.false_negative_rate(idx, truth), sol is None or sol.converged
         try:
             (value, conv), ms = _timed(run, timing)
@@ -494,7 +470,7 @@ def _build_snr(cfg):
     methods = _check_methods(cfg, _ONE_COPY, ("sdp", "glasso"))
     params = cfg.params or ("0.8", "1.2", "1.6", "2.0", "2.4")
     o = cfg.options
-    settings = solver_settings(o)
+    opts = solver_settings(o)
     r = int(o.get("r", 3))
     mu_rule = _check_mu("exp-snr mu", o.get("mu", "log(n)"), n_list, r)
     m_rule = _m_rule(o, "10", n_list, extra={"r": r})
@@ -502,7 +478,7 @@ def _build_snr(cfg):
                     extra={"r": r, "C": 1.0})
     eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
     noise = _noise_from(o, "gaussian-iid")
-    c_screen = float(o.get("c_screen", 2.0))
+    c_screen = float(o.get("c_screen", spectral.C_SCREEN))
 
     def cell(n, param, data_rng, mrngs, timing):
         coeff = float(param)
@@ -514,7 +490,7 @@ def _build_snr(cfg):
         gt = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
         resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen)
-        return _support_fnr(methods, resids, tau, m, truth_sup, kept, mrngs, settings, timing)
+        return _support_fnr(methods, resids, tau, m, truth_sup, kept, mrngs, opts, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -529,13 +505,13 @@ def _build_glfail(cfg):
     methods = _check_methods(cfg, _ONE_COPY_NO_TAU, ("sdp", "glasso", "hard"))
     params = cfg.params or ("decoy",)
     o = cfg.options
-    settings = solver_settings(o)
+    opts = solver_settings(o)
     noise = _noise_from(o, "gaussian-iid")
 
     def cell(n, param, data_rng, mrngs, timing):
         b, signal, _ = model.sample_decoy_perturbation(n, data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
-        return _support_fnr(methods, y, None, len(signal), signal, None, mrngs, settings, timing)
+        return _support_fnr(methods, y, None, len(signal), signal, None, mrngs, opts, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -547,7 +523,7 @@ def _build_multicopy(cfg):
     methods = _check_methods(cfg, _TWO_COPIES_NO_TAU, ("sdp-multi", "sdp"))
     params = cfg.params or ("3.2",)
     o = cfg.options
-    settings = solver_settings(o)
+    opts = solver_settings(o)
     m_rule = _m_rule(o, "ceil(2*log(n))", n_list)
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list, extra={"C": 1.0})
     noise = _noise_from(o, "gaussian-row-hetero")
@@ -559,7 +535,7 @@ def _build_multicopy(cfg):
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
         y1 = b + model.sample_noise(n, noise, data_rng)
         y2 = b + model.sample_noise(n, noise, data_rng)
-        return _support_fnr(methods, [y1, y2], None, m, truth_sup, None, mrngs, settings, timing)
+        return _support_fnr(methods, [y1, y2], None, m, truth_sup, None, mrngs, opts, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -571,7 +547,7 @@ def _build_heavytail(cfg):
     methods = _check_methods(cfg, _ONE_COPY, ("sdp-trunc", "sdp"))
     params = cfg.params or ("2.0",)
     o = cfg.options
-    settings = solver_settings(o)
+    opts = solver_settings(o)
     m_rule = _m_rule(o, "ceil(2*log(n))", n_list)
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list, extra={"C": 1.0})
     noise = _noise_from(o, "scaled-t4")
@@ -583,7 +559,7 @@ def _build_heavytail(cfg):
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
         resids, _, tau = spectral.stage_one([y], [], 0, c_screen=None)
-        return _support_fnr(methods, resids, tau, m, truth_sup, None, mrngs, settings, timing)
+        return _support_fnr(methods, resids, tau, m, truth_sup, None, mrngs, opts, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -607,7 +583,7 @@ def _build_coherence(cfg):
     params = cfg.params or tuple(
         f"mu={expr}|screen={arm}" for expr in mu_exprs for arm in ("on", "off"))
     o = cfg.options
-    settings = solver_settings(o)
+    opts = solver_settings(o)
     # rank stays at 3 so the whole default mu grid respects the sampler cap
     # mu <= n/r; the screening-necessity band at mu = n^0.75 is sharper at
     # r=4 (spiky-row error energy grows with r) -- set r explicitly for that
@@ -621,7 +597,7 @@ def _build_coherence(cfg):
     sb_rule = _rule(o, "sigma_b", "2 * n**(-0.25) * log(n)**0.25", n_list, extra={"r": r})
     eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
     noise = _noise_from(o, "gaussian-iid")
-    c_screen = float(o.get("c_screen", 2.0))
+    c_screen = float(o.get("c_screen", spectral.C_SCREEN))
 
     def cell(n, param, data_rng, mrngs, timing):
         fields = _parse_param_fields(param)
@@ -640,7 +616,7 @@ def _build_coherence(cfg):
         gt = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
         resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen if screen else None)
-        return _support_fnr(methods, resids, tau, m, truth_sup, kept, mrngs, settings, timing)
+        return _support_fnr(methods, resids, tau, m, truth_sup, kept, mrngs, opts, timing)
 
     return _Plan(n_list, trials, methods, params, cell)
 
@@ -726,9 +702,8 @@ def _build_path(cfg):
     trials = cfg.trials or 20
     methods = _check_methods(cfg, ("active-count", "penalty"), ("active-count", "penalty"))
     o = cfg.options
-    _, gl = solver_settings({"gl_grid": 60, **o})
-    grid_size, floor = gl.pop("grid_size"), gl.pop("floor_ratio")
-    params = cfg.params or tuple(f"t{t:02d}" for t in range(grid_size))
+    opts = solver_settings({"gl_grid": 60, **o})
+    params = cfg.params or tuple(f"t{t:02d}" for t in range(opts.gl_grid))
     m_rule = _m_rule(o, "5", n_list)
     sb_rule = _rule(o, "sigma_b", "1.9 * n**(-0.25) * log(n)**0.25", n_list)
     noise = _noise_from(o, "gaussian-iid")
@@ -738,8 +713,9 @@ def _build_path(cfg):
         sigma_b = eval_rule(sb_rule, n=n)
         b, _ = model.sample_node_sparse(n, m, sigma_b, data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
-        grid = support.lambda_grid(y, num=grid_size, floor_ratio=floor)
-        path, ms = _timed(lambda: support.group_lasso_path(y, grid, **gl), timing)
+        grid = support.lambda_grid(y, num=opts.gl_grid, floor_ratio=opts.lambda_floor)
+        path, ms = _timed(lambda: support.group_lasso_path(
+            y, grid, rho=opts.gl_rho, tol=opts.gl_tol, max_iter=opts.gl_max_iter), timing)
         per_point = ms / max(grid.size, 1)
         rows = []
         for t in range(grid.size):

@@ -155,6 +155,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise family {self.family!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
+        if self.truncation is not None and not self.truncation > 0:
+            raise ValueError(f"truncation must be > 0, got {self.truncation}")
         if self.family in ("gaussian-entry-hetero", "gaussian-row-hetero"):
             if not 0 < self.sigma_min <= self.sigma_max:
                 raise ValueError("need 0 < sigma_min <= sigma_max")

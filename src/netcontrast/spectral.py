@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+C_SCREEN = 2.0          # default screening constant of select_low_coherence
+
 
 @dataclass
 class RankDecomposition:
@@ -85,7 +87,8 @@ def spectral_init(g0, rank):
     n = mean.shape[0]
     if not 0 <= rank <= n:
         raise ValueError(f"need 0 <= rank <= n, got rank={rank} at n={n}")
-    w, v = np.linalg.eigh(mean)
+    # rank 0 keeps no pair and skips the dense eigh
+    w, v = np.linalg.eigh(mean) if rank else (np.zeros(0), np.zeros((n, 0)))
     order = np.argsort(-np.abs(w), kind="stable")[:rank]
     vecs = _sign_fix(v[:, order].copy())
     return RankDecomposition(right=vecs, left=vecs, values=w[order])
@@ -104,7 +107,7 @@ class ScreeningResult:
         return self.kept.size
 
 
-def select_low_coherence(dec, c_screen=2.0):
+def select_low_coherence(dec, c_screen=C_SCREEN):
     """Keep nodes whose eigenvector row norm is at most c_screen * n^{-1/4}."""
     row_norms = np.linalg.norm(dec.right, axis=1)
     threshold = c_screen * dec.n ** -0.25
@@ -151,7 +154,7 @@ def estimate_noise_scale(y0, dec, c_s=2.0):
     return float(np.linalg.norm(resid)) / s.size
 
 
-def stage_one(treatments, controls, rank, c_screen=2.0):
+def stage_one(treatments, controls, rank, c_screen=C_SCREEN):
     """(residuals, kept, tau): each treatment's form_residual against the
     spectral_init of the mean control (else of the first treatment), on the
     nodes that select_low_coherence keeps (all, and kept None, when c_screen

@@ -23,6 +23,7 @@ import numpy as np
 from .spectral import _average
 
 logger = logging.getLogger(__name__)
+C_THRESH = 1.0          # default slack constant of select_m
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +67,28 @@ _JITTER = 0.1           # scale of the random start perturbation of later restar
 _SEED = 0               # solver generator when no rng is passed
 
 
-@dataclass
-class SdpOptions:
-    factor_rank: int = 3
-    restarts: int = 3           # most runs: jittered restarts follow while none is certified
-    max_inner: int = 300        # descent iterations per restart
+@dataclass(frozen=True)
+class SolverOptions:
+    """SDP and group-lasso settings, each named after its config key (and the
+    dest of its --sdp-*/--gl-* flag), with every default and range check."""
+
+    sdp_rank: int = 3           # factor width
+    sdp_restarts: int = 3       # most runs: jittered restarts follow while none is certified
+    sdp_max_inner: int = 300    # descent iterations per restart
+    gl_grid: int = 40           # penalty-path grid size
+    lambda_floor: float = 0.85  # grid floor, as a fraction of the least row norm
+    gl_rho: float = 1.0         # ADMM penalty parameter
+    gl_tol: float | None = None  # ADMM stopping tolerance; None is 1e-6 * ||Y||_F
+    gl_max_iter: int = 5000     # ADMM iteration cap
 
     def __post_init__(self):
-        for name in ("factor_rank", "restarts", "max_inner"):
+        for name in ("sdp_rank", "sdp_restarts", "sdp_max_inner", "gl_grid", "gl_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lambda_floor", "gl_rho", "gl_tol"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass
@@ -199,13 +212,13 @@ def solve_sdp(cost, m, opts=None, rng=None):
     """Solve the support SDP by Riemannian descent on a thin, exactly
     feasible factor.
 
-    Z is parameterized as X X^T with X of width opts.factor_rank (default 3;
+    Z is parameterized as X X^T with X of width opts.sdp_rank (default 3;
     a rank-one optimum exists, the extra columns help descent escape saddle
     points).  A run is certified when its gradient is below tolerance and
     the dual matrix S = C + y1 I + y2 J fitted to S X = 0 is positive
     semidefinite, which makes X X^T a global optimum; converged=True means
     exactly that.  The first start is deterministic; jittered restarts, up
-    to opts.restarts runs in all, follow only while no run is certified,
+    to opts.sdp_restarts runs in all, follow only while no run is certified,
     and the certified (else the lowest-objective) run is kept.  Never raises
     on non-convergence.
 
@@ -226,11 +239,11 @@ def solve_sdp(cost, m, opts=None, rng=None):
     dev = float(np.max(np.abs(c - c.T)))
     if not dev <= 1e-6 * float(np.max(np.abs(c))):
         raise ValueError(f"cost must be finite and symmetric (max |C - C^T| = {dev:.3g})")
-    opts = opts or SdpOptions()
+    opts = opts or SolverOptions()
     rng = rng if rng is not None else np.random.default_rng(_SEED)
     k = float(nt - m)
     ra, ry = k / nt, math.sqrt(k - k * k / nt)
-    p = min(opts.factor_rank, nt)
+    p = min(opts.sdp_rank, nt)
     scale = float(np.linalg.norm(c))
     ch = c / scale if scale > 0 else c
     c1 = ch @ np.ones(nt)
@@ -244,14 +257,14 @@ def solve_sdp(cost, m, opts=None, rng=None):
     base[:, 0] += ra
     best = None
     total_iters = 0
-    for runs in range(1, opts.restarts + 1):
+    for runs in range(1, opts.sdp_restarts + 1):
         x = base
         if runs > 1:
             x = base + _JITTER * math.sqrt(k / nt) * rng.standard_normal((nt, p))
         a = _column_sums(x) / nt
         y = x - a
         a, y = a * (ra / np.linalg.norm(a)), y * (ry / np.linalg.norm(y))
-        a, y, cy, iters, gnorm = _sphere_descent(ch, c1, a, y, ch @ y, ra, ry, opts.max_inner)
+        a, y, cy, iters, gnorm = _sphere_descent(ch, c1, a, y, ch @ y, ra, ry, opts.sdp_max_inner)
         total_iters += iters
         x = y + a
         cx = np.outer(c1, a) + cy
@@ -350,7 +363,7 @@ class MSelection:
     steps: int
 
 
-def select_m(residual, sigma_hat, m0, c_thresh=1.0, opts=None, rng=None, max_steps=20):
+def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None, max_steps=20):
     """Walk the support size until the complement looks like pure noise.
 
     At each m the SDP support is removed and the largest complement row
@@ -416,7 +429,8 @@ class GroupLassoResult:
         return self.factor + self.factor.T
 
 
-def group_lasso(residual, lam, rho=1.0, tol=None, max_iter=5000, init=None):
+def group_lasso(residual, lam, rho=SolverOptions.gl_rho, tol=SolverOptions.gl_tol,
+                max_iter=SolverOptions.gl_max_iter, init=None):
     """Row-sparse symmetric fit by ADMM.
 
     Solves min_V  1/4 ||V + V^T - Y||_F^2 + lam * sum_i ||v_i||_2
@@ -482,7 +496,7 @@ def lambda_max(residual):
     return float(np.max(np.linalg.norm(np.asarray(residual, dtype=float), axis=1)))
 
 
-def lambda_grid(residual, num=40, floor_ratio=0.85):
+def lambda_grid(residual, num=SolverOptions.gl_grid, floor_ratio=SolverOptions.lambda_floor):
     """Descending linspace from lambda_max down to floor_ratio * min row norm."""
     norms = np.linalg.norm(np.asarray(residual, dtype=float), axis=1)
     hi = float(norms.max())
@@ -500,7 +514,8 @@ class GroupLassoPath:
     converged: np.ndarray
 
 
-def group_lasso_path(residual, grid, rho=1.0, tol=None, max_iter=5000):
+def group_lasso_path(residual, grid, rho=SolverOptions.gl_rho, tol=SolverOptions.gl_tol,
+                     max_iter=SolverOptions.gl_max_iter):
     """Warm-started ADMM down a strictly descending positive penalty grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0):
@@ -527,7 +542,8 @@ def group_lasso_path(residual, grid, rho=1.0, tol=None, max_iter=5000):
                           activation_lambda=activation, converged=conv)
 
 
-def group_lasso_support(residual, m, grid=None, rho=1.0, tol=None, max_iter=5000):
+def group_lasso_support(residual, m, grid=None, rho=SolverOptions.gl_rho,
+                        tol=SolverOptions.gl_tol, max_iter=SolverOptions.gl_max_iter):
     """Support via the penalty path: descend until at least m rows are active,
     then take the m largest row norms (falls back to the last grid point)."""
     y = np.asarray(residual, dtype=float)
@@ -552,16 +568,15 @@ def group_lasso_support(residual, m, grid=None, rho=1.0, tol=None, max_iter=5000
 METHODS = ("sdp", "sdp-trunc", "sdp-multi", "glasso", "hard", "lse")
 
 
-def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None,
-            grid_size=40, floor_ratio=0.85, rho=1.0, tol=None, max_iter=5000):
+def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None):
     """Size-m support of a residual, or a list of copies, by a METHODS name.
 
     The SDP costs: sdp squares the averaged copy, sdp-trunc caps that at
     tau^2, sdp-multi multiplies the two half-averages.  glasso, hard and lse
     work on the averaged copy.  Returns (indices, solution): the support in
     original node numbering (through kept, the screening map, when given)
-    and the SdpSolution of an SDP method, else None.  Non-finite residuals
-    raise ValueError.
+    and the SdpSolution of an SDP method, else None; opts is a SolverOptions.
+    Non-finite residuals raise ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown support method {method!r}; use one of {', '.join(METHODS)}")
@@ -569,8 +584,10 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None,
     avg = _average(residuals)
     sol = None
     if method == "glasso":
-        grid = lambda_grid(avg, num=grid_size, floor_ratio=floor_ratio)
-        idx = group_lasso_support(avg, m, grid=grid, rho=rho, tol=tol, max_iter=max_iter)
+        opts = opts or SolverOptions()
+        grid = lambda_grid(avg, num=opts.gl_grid, floor_ratio=opts.lambda_floor)
+        idx = group_lasso_support(avg, m, grid=grid, rho=opts.gl_rho, tol=opts.gl_tol,
+                                  max_iter=opts.gl_max_iter)
     elif method == "hard":
         idx = hard_threshold(avg, m)
     elif method == "lse":

@@ -133,7 +133,7 @@ def with_small_matrix(flags, tmp_path):
     ["--gl-max-iter", "0"], ["--m", "0"], ["--m", "60"],
     ["--mu", "'x'"], ["--mu", "[1]"],
     ["--rank", "-1"], ["--rank", "61"], ["--c-screen", "0"],
-    ["--y0", "{small}"],
+    ["--y0", "{small}"], ["--gl-tol", "0"], ["--gl-tol", "-1"],
 ])
 def test_recover_bad_settings_exit_one(dataset, tmp_path, capsys, flags):
     flags = with_small_matrix(flags, tmp_path)
@@ -161,8 +161,23 @@ def test_recover_m_auto(dataset, tmp_path):
     ])
     rec = json.loads(out.read_text())
     assert rc == 0
+    assert rec["m_auto"]["converged"] is True and rec["converged"] is True
     assert rec["m_auto"]["m"] == rec["m"]
     assert set(meta["supports"][0]) <= set(rec["support"]) or rec["m"] <= 4
+
+
+def test_recover_m_auto_failed_walk_exits_two(tmp_path):
+    # the SDP converges at every m, but the support-size walk hits its step cap
+    data = tmp_path / "data"
+    assert main(["generate", "--n", "60", "--r", "2", "--m", "4", "--sigma-b", "3",
+                 "--g0", "4", "--g1", "2", "--seed", "5", "--out-dir", str(data)]) == 0
+    out = tmp_path / "auto.json"
+    rc = main(["recover", "--y1", str(data / "y1_00.txt"),
+               "--y0", str(data / "y0_00.txt"), str(data / "y0_01.txt"),
+               "--rank", "2", "--m-auto", "--out", str(out)])
+    rec = json.loads(out.read_text())
+    assert rec["m_auto"]["converged"] is False and rec["sdp"]["converged"] is True
+    assert rec["converged"] is False and rc == 2
 
 
 def test_recover_validation_errors(dataset, capsys):
@@ -190,8 +205,8 @@ def test_recover_rejects_non_finite_input(dataset, tmp_path, capsys):
 def test_recover_nonconverged_exit_code(dataset, tmp_path, monkeypatch):
     # one descent iteration per run cannot reach the gradient tolerance
     settings = harness.solver_settings
-    monkeypatch.setattr(harness, "solver_settings", lambda o: (
-        dataclasses.replace(settings(o)[0], max_inner=1), settings(o)[1]))
+    monkeypatch.setattr(harness, "solver_settings",
+                        lambda o: dataclasses.replace(settings(o), sdp_max_inner=1))
     out = tmp_path / "bad.json"
     rc = main([
         "recover", "--y1", str(dataset / "y1_00.txt"),

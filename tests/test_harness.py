@@ -21,7 +21,7 @@ from netcontrast.harness import (
     write_results,
     write_summary,
 )
-from netcontrast.support import SdpOptions
+from netcontrast.support import SolverOptions
 
 
 def small_snr_cfg(**over):
@@ -189,21 +189,25 @@ def test_threads_is_not_a_config_key(tmp_path):
 
 
 def test_solver_settings_defaults_and_overrides():
-    opts, gl = solver_settings({})
-    assert (opts.factor_rank, opts.restarts, opts.max_inner) == (3, 3, 300)
-    assert opts == SdpOptions()
-    assert gl == {"grid_size": 40, "floor_ratio": 0.85, "rho": 1.0, "tol": None,
-                  "max_iter": 5000}
-    opts, gl = solver_settings({"sdp_rank": "2", "sdp_restarts": 1, "gl_tol": "1e-5",
-                                "gl_grid": "7", "lambda_floor": "0.5", "r": "3"})
-    assert (opts.factor_rank, opts.restarts) == (2, 1)
-    assert (gl["grid_size"], gl["floor_ratio"], gl["tol"]) == (7, 0.5, 1e-5)
+    opts = solver_settings({})
+    assert opts == SolverOptions()
+    assert (opts.sdp_rank, opts.sdp_restarts, opts.sdp_max_inner) == (3, 3, 300)
+    assert (opts.gl_grid, opts.lambda_floor, opts.gl_rho, opts.gl_tol,
+            opts.gl_max_iter) == (40, 0.85, 1.0, None, 5000)
+    opts = solver_settings({"sdp_rank": "2", "sdp_restarts": 1, "gl_tol": "1e-5",
+                            "gl_grid": "7", "lambda_floor": "0.5", "r": "3"})
+    assert opts == SolverOptions(sdp_rank=2, sdp_restarts=1, gl_tol=1e-5, gl_grid=7,
+                                 lambda_floor=0.5)
+    # == would not tell 2 from 2.0: counts must arrive as ints
+    assert type(opts.sdp_rank) is type(opts.gl_grid) is int and type(opts.gl_tol) is float
 
 
 @pytest.mark.parametrize("key,value", [
     ("sdp_rank", "0"), ("sdp_rank", "-1"), ("sdp_restarts", "0"),
     ("sdp_max_inner", "0"), ("sdp_max_outer", "0"), ("sdp_feas_tol", "0"),
     ("gl_grid", "0"), ("gl_rho", "0"), ("gl_max_iter", "0"), ("sdp_rank", "two"),
+    ("gl_tol", "0"), ("gl_tol", "-1"), ("lambda_floor", "0"), ("lambda_floor", "-0.5"),
+    ("truncation", "0"), ("truncation", "-1"),
 ])
 def test_bad_solver_settings_fail_at_plan_build(key, value):
     with pytest.raises(ConfigError):

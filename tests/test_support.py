@@ -10,7 +10,7 @@ from netcontrast import support
 from netcontrast.harness import config_from_mapping, run_experiment
 from netcontrast.model import sample_node_sparse
 from netcontrast.support import (
-    SdpOptions,
+    SolverOptions,
     build_cost,
     exhaustive_support,
     extract_support,
@@ -143,10 +143,14 @@ def test_sdp_support_invariant_to_cost_scale():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("field", ["factor_rank", "restarts", "max_inner"])
-def test_sdp_options_reject_counts_below_one(field):
+@pytest.mark.parametrize("field,value", [
+    ("sdp_rank", 0), ("sdp_restarts", 0), ("sdp_max_inner", 0), ("gl_grid", 0),
+    ("gl_max_iter", 0), ("lambda_floor", 0.0), ("gl_rho", 0.0), ("gl_tol", 0.0),
+    ("gl_tol", -1.0), ("lambda_floor", math.nan),
+])
+def test_solver_options_reject_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
-        SdpOptions(**{field: 0})
+        SolverOptions(**{field: value})
 
 
 def test_sdp_input_validation():
@@ -276,11 +280,11 @@ def test_sdp_one_cost_product_per_descent_step(monkeypatch):
 
     runs = _record_runs(monkeypatch)
     resid, _ = planted_residual(30, 3, 1.0, 6, sigma=0.8)
-    opts = SdpOptions(restarts=3)
+    opts = SolverOptions(sdp_restarts=3)
     sol = solve_sdp(build_cost(resid), 3, opts=opts, rng=rng_of(2))
     # the first run is certified, so no restart runs
     assert sol.converged and len(runs) == 1
-    assert sol.iterations == sol.total_iterations == runs[0] <= opts.max_inner
+    assert sol.iterations == sol.total_iterations == runs[0] <= opts.sdp_max_inner
     # one product per descent step plus C Y at the start of each run
     assert sol.matvecs == sol.total_iterations + len(runs)
 
@@ -289,7 +293,7 @@ def test_sdp_restarts_only_while_uncertified(monkeypatch):
     resid, _ = planted_residual(30, 3, 1.0, 6, sigma=0.8)
     runs = _record_runs(monkeypatch)
     monkeypatch.setattr(support, "_certificate", lambda c, x, cx: -1.0)
-    sol = solve_sdp(build_cost(resid), 3, opts=SdpOptions(restarts=3), rng=rng_of(2))
+    sol = solve_sdp(build_cost(resid), 3, opts=SolverOptions(sdp_restarts=3), rng=rng_of(2))
     assert not sol.converged and sol.lambda_min == -1.0
     assert len(runs) == 3 and sol.total_iterations == sum(runs)
     assert sol.iterations in runs
@@ -613,14 +617,14 @@ def test_recover_matches_direct_call_chain(method):
     b, _ = sample_node_sparse(14, 3, 2.0, rng)
     copies = [b + symmetric_noise(14, rng) for _ in range(2)]
     kept = np.arange(3, 17)  # 14 screened rows of a 20-node graph
-    opts = SdpOptions(restarts=2, factor_rank=2)
-    gl = {"grid_size": 12, "floor_ratio": 0.7, "rho": 2.0, "max_iter": 800}
+    opts = SolverOptions(sdp_restarts=2, sdp_rank=2, gl_grid=12, lambda_floor=0.7,
+                         gl_rho=2.0, gl_max_iter=800)
     want = kept[_direct_support(method, copies, 3, 1.5, opts, rng_of(5))]
     got, sol = support.recover(method, copies, 3, tau=1.5, kept=kept, opts=opts,
-                               rng=rng_of(5), **gl)
+                               rng=rng_of(5))
     assert np.array_equal(got, want)
     assert (sol is not None) == method.startswith("sdp")
-    local, _ = support.recover(method, copies, 3, tau=1.5, opts=opts, rng=rng_of(5), **gl)
+    local, _ = support.recover(method, copies, 3, tau=1.5, opts=opts, rng=rng_of(5))
     assert np.array_equal(kept[local], want)
 
 
