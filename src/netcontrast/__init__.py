@@ -24,7 +24,6 @@ from .model import (
 )
 from .spectral import (
     RankDecomposition,
-    ScreeningResult,
     estimate_noise_scale,
     form_residual,
     select_low_coherence,
@@ -46,7 +45,6 @@ from .support import (
     group_lasso_support,
     hard_threshold,
     lambda_grid,
-    lambda_max,
     select_m,
     solve_sdp,
 )

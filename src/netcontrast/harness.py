@@ -17,8 +17,9 @@ import math
 import operator
 import time
 
+from collections import UserDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -371,13 +372,33 @@ def _timed(fn, timing):
     return out, (time.perf_counter() - t0) * 1e3
 
 
+def _convert(key, value, kind):
+    """kind(value), int or float, with a ConfigError that names key when the
+    value does not convert."""
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} = {value!r} is not {what}") from None
+
+
+def _positive(o, key, default, kind):
+    """o's key (else default) as a finite kind > 0; anything else is a
+    ConfigError that names key."""
+    value = _convert(key, o.get(key, default), kind)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{key} must be finite and > 0, got {value:g}")
+    return value
+
+
 def solver_settings(o):
     """The support.SolverOptions set by the keys of o (strings or numbers)
     that name its fields; other keys are ignored, unset fields keep their
     defaults, and bad values raise ConfigError."""
     try:
-        return support.SolverOptions(**{f.name: (int if f.type is int else float)(o[f.name])
-                                        for f in fields(support.SolverOptions) if f.name in o})
+        return support.SolverOptions(**{
+            f.name: _convert(f.name, o[f.name], int if f.type is int else float)
+            for f in fields(support.SolverOptions) if f.name in o})
     except ValueError as exc:
         raise ConfigError(f"bad solver setting: {exc}") from None
 
@@ -386,7 +407,8 @@ def _noise_from(o, family):
     """The model.NoiseSpec of o's noise keys; unset ones keep its defaults."""
     try:
         return model.NoiseSpec(family=o.get("noise", family), **{
-            k: float(o[k]) for k in ("sigma", "sigma_min", "sigma_max", "truncation") if k in o})
+            k: _convert(k, o[k], float)
+            for k in ("sigma", "sigma_min", "sigma_max", "truncation") if k in o})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -471,14 +493,14 @@ def _build_snr(cfg):
     params = cfg.params or ("0.8", "1.2", "1.6", "2.0", "2.4")
     o = cfg.options
     opts = solver_settings(o)
-    r = int(o.get("r", 3))
+    r = _positive(o, "r", 3, int)
     mu_rule = _check_mu("exp-snr mu", o.get("mu", "log(n)"), n_list, r)
     m_rule = _m_rule(o, "10", n_list, extra={"r": r})
     sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list,
                     extra={"r": r, "C": 1.0})
     eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
     noise = _noise_from(o, "gaussian-iid")
-    c_screen = float(o.get("c_screen", spectral.C_SCREEN))
+    c_screen = _positive(o, "c_screen", spectral.C_SCREEN, float)
 
     def cell(n, param, data_rng, mrngs, timing):
         coeff = float(param)
@@ -587,7 +609,7 @@ def _build_coherence(cfg):
     # rank stays at 3 so the whole default mu grid respects the sampler cap
     # mu <= n/r; the screening-necessity band at mu = n^0.75 is sharper at
     # r=4 (spiky-row error energy grows with r) -- set r explicitly for that
-    r = int(o.get("r", 3))
+    r = _positive(o, "r", 3, int)
     for param in params:
         fields = _parse_param_fields(param)
         if "mu" not in fields:
@@ -597,7 +619,7 @@ def _build_coherence(cfg):
     sb_rule = _rule(o, "sigma_b", "2 * n**(-0.25) * log(n)**0.25", n_list, extra={"r": r})
     eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
     noise = _noise_from(o, "gaussian-iid")
-    c_screen = float(o.get("c_screen", spectral.C_SCREEN))
+    c_screen = _positive(o, "c_screen", spectral.C_SCREEN, float)
 
     def cell(n, param, data_rng, mrngs, timing):
         fields = _parse_param_fields(param)
@@ -652,7 +674,7 @@ def _build_refine(cfg):
         "mu=n**0.8|lmin=3", "mu=n**(5/6)|lmin=3",
     )
     o = cfg.options
-    r = int(o.get("r", 3))
+    r = _positive(o, "r", 3, int)
     noise = _noise_from(o, "gaussian-iid")
     for param in params:
         fields = _parse_param_fields(param)
@@ -702,7 +724,9 @@ def _build_path(cfg):
     trials = cfg.trials or 20
     methods = _check_methods(cfg, ("active-count", "penalty"), ("active-count", "penalty"))
     o = cfg.options
-    opts = solver_settings({"gl_grid": 60, **o})
+    # the path reads only the group-lasso settings, and draws 60 points unless told
+    opts = solver_settings({"gl_grid": 60} | {k: o[k] for k in o if k in (
+        "gl_grid", "lambda_floor", "gl_rho", "gl_tol", "gl_max_iter")})
     params = cfg.params or tuple(f"t{t:02d}" for t in range(opts.gl_grid))
     m_rule = _m_rule(o, "5", n_list)
     sb_rule = _rule(o, "sigma_b", "1.9 * n**(-0.25) * log(n)**0.25", n_list)
@@ -713,9 +737,8 @@ def _build_path(cfg):
         sigma_b = eval_rule(sb_rule, n=n)
         b, _ = model.sample_node_sparse(n, m, sigma_b, data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
-        grid = support.lambda_grid(y, num=opts.gl_grid, floor_ratio=opts.lambda_floor)
-        path, ms = _timed(lambda: support.group_lasso_path(
-            y, grid, rho=opts.gl_rho, tol=opts.gl_tol, max_iter=opts.gl_max_iter), timing)
+        grid = support.lambda_grid(y, opts.gl_grid, opts.lambda_floor)
+        path, ms = _timed(lambda: support.group_lasso_path(y, grid, opts), timing)
         per_point = ms / max(grid.size, 1)
         rows = []
         for t in range(grid.size):
@@ -745,11 +768,29 @@ def preset_names():
     return sorted(PRESETS)
 
 
+class _ReadLog(UserDict):
+    """Options that record in .read each key looked up through them."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.data[key]
+
+
 def build_plan(cfg):
+    """The preset's plan for cfg; an option key that the preset never reads
+    is a ConfigError."""
     if cfg.preset not in PRESETS:
         raise ConfigError(
             f"unknown preset {cfg.preset!r}; available: {', '.join(preset_names())}")
-    plan = PRESETS[cfg.preset](cfg)
+    options = _ReadLog(cfg.options)
+    plan = PRESETS[cfg.preset](replace(cfg, options=options))
+    unread = sorted(options.keys() - options.read)
+    if unread:
+        raise ConfigError(f"preset {cfg.preset!r} does not read {', '.join(unread)}")
     if plan.trials < 1:
         raise ConfigError("trials must be >= 1")
     return plan

@@ -94,45 +94,28 @@ def spectral_init(g0, rank):
     return RankDecomposition(right=vecs, left=vecs, values=w[order])
 
 
-@dataclass
-class ScreeningResult:
-    """Low-coherence node filter: kept indices, row norms, threshold used."""
-
-    kept: np.ndarray
-    row_norms: np.ndarray
-    threshold: float
-
-    @property
-    def kept_count(self):
-        return self.kept.size
-
-
 def select_low_coherence(dec, c_screen=C_SCREEN):
-    """Keep nodes whose eigenvector row norm is at most c_screen * n^{-1/4}."""
-    row_norms = np.linalg.norm(dec.right, axis=1)
-    threshold = c_screen * dec.n ** -0.25
-    kept = np.flatnonzero(row_norms <= threshold)
+    """Indices of the nodes whose eigenvector row norm is at most
+    c_screen * n^{-1/4}, ascending; raises ValueError when none is kept."""
+    kept = np.flatnonzero(np.linalg.norm(dec.right, axis=1) <= c_screen * dec.n ** -0.25)
     if kept.size == 0:
         raise ValueError(
             f"screening kept no nodes at c_screen={c_screen:g}; "
             "raise the constant or disable screening"
         )
-    return ScreeningResult(kept=kept, row_norms=row_norms, threshold=threshold)
+    return kept
 
 
 def form_residual(y1, dec, kept=None):
     """Treatment minus the reconstructed shared estimate, on kept x kept.
 
-    kept may be a ScreeningResult or an index array; None keeps every node.
-    Returned matrix is reindexed to |kept| x |kept|; the kept array itself is
-    the local-to-global index map.
+    kept is an index array; None keeps every node.  Returned matrix is
+    reindexed to |kept| x |kept|; the kept array itself is the
+    local-to-global index map.
     """
     y1 = np.asarray(y1, dtype=float)
     resid = y1 - dec.reconstruct()
-    if kept is None:
-        return resid
-    idx = kept.kept if isinstance(kept, ScreeningResult) else np.asarray(kept, dtype=int)
-    return resid[np.ix_(idx, idx)]
+    return resid if kept is None else resid[np.ix_(kept, kept)]
 
 
 def estimate_noise_scale(y0, dec, c_s=2.0):
@@ -163,10 +146,10 @@ def stage_one(treatments, controls, rank, c_screen=C_SCREEN):
     spectral_init and the screening propagate."""
     base = list(controls) or [treatments[0]]
     dec = spectral_init(base, rank)
-    screening = None if c_screen is None else select_low_coherence(dec, c_screen)
-    residuals = [form_residual(y, dec, screening) for y in treatments]
+    kept = None if c_screen is None else select_low_coherence(dec, c_screen)
+    residuals = [form_residual(y, dec, kept) for y in treatments]
     try:
         tau = estimate_noise_scale(base[0], dec)
     except ValueError:
         tau = None
-    return residuals, None if screening is None else screening.kept, tau
+    return residuals, kept, tau

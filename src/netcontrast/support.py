@@ -24,6 +24,7 @@ from .spectral import _average
 
 logger = logging.getLogger(__name__)
 C_THRESH = 1.0          # default slack constant of select_m
+_M_STEPS = 20           # step cap of select_m's walk
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +99,11 @@ class SdpSolution:
     row_sums: np.ndarray
     trace_residual: float
     sum_residual: float
-    negative_entry: float       # monitor: max(0, -min Z_ij)
-    diag_excess: float          # monitor: max(0, max Z_ii - 1)
     iterations: int             # descent iterations of the kept restart
     converged: bool             # gradient test and certificate both hold
     total_iterations: int       # descent iterations over all restarts
     matvecs: int                # products with the cost matrix over all restarts
     lambda_min: float           # least eigenvalue of S = C + y1 I + y2 J, over |C|_F
-
-    def z(self):
-        return self.factor @ self.factor.T
 
 
 def _column_sums(x):
@@ -278,15 +274,12 @@ def solve_sdp(cost, m, opts=None, rng=None):
     x, obj, ok, iters, lam, gnorm = best
 
     s = _column_sums(x)
-    z = x @ x.T
     sol = SdpSolution(
         factor=x,
         objective=obj,
         row_sums=x @ s,
         trace_residual=abs(float(np.vdot(x, x)) - k),
         sum_residual=abs(float(s @ s) - k * k),
-        negative_entry=max(0.0, -float(z.min())),
-        diag_excess=max(0.0, float(np.diagonal(z).max()) - 1.0),
         iterations=iters,
         converged=ok,
         total_iterations=total_iters,
@@ -363,15 +356,15 @@ class MSelection:
     steps: int
 
 
-def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None, max_steps=20):
+def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None):
     """Walk the support size until the complement looks like pure noise.
 
     At each m the SDP support is removed and the largest complement row
     energy is compared against its noise-only level sigma^2 (n - m), with
     slack c_thresh * sigma^2 * sqrt((n - m) log n): too much energy grows m,
     a noise-consistent complement shrinks it.  Returns the boundary m where
-    the test flips; if the step cap binds, the last passing m is returned
-    with converged=False.
+    the test flips; if the cap of _M_STEPS steps binds, the last passing m
+    is returned with converged=False.
     """
     residual = np.asarray(residual, dtype=float)
     nt = residual.shape[0]
@@ -391,7 +384,7 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None, ma
 
     m = min(max(int(m0), 1), nt - 2)
     last_pass = None
-    for step in range(1, max_steps + 1):
+    for step in range(1, _M_STEPS + 1):
         if passes(m):
             last_pass = m
             if cache.get(m - 1) is False:
@@ -407,9 +400,9 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None, ma
                 return MSelection(m=last_pass if last_pass is not None else m,
                                   converged=False, steps=step)
             m += 1
-    logger.warning("support-size walk hit the %d-step cap", max_steps)
+    logger.warning("support-size walk hit the %d-step cap", _M_STEPS)
     return MSelection(m=last_pass if last_pass is not None else m,
-                      converged=False, steps=max_steps)
+                      converged=False, steps=_M_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -422,29 +415,26 @@ class GroupLassoResult:
     alpha: np.ndarray           # row l2 norms of V
     iterations: int
     converged: bool
-    primal_residual: float
-    dual_residual: float
-
-    def perturbation(self):
-        return self.factor + self.factor.T
 
 
-def group_lasso(residual, lam, rho=SolverOptions.gl_rho, tol=SolverOptions.gl_tol,
-                max_iter=SolverOptions.gl_max_iter, init=None):
+def group_lasso(residual, lam, opts=None, init=None):
     """Row-sparse symmetric fit by ADMM.
 
     Solves min_V  1/4 ||V + V^T - Y||_F^2 + lam * sum_i ||v_i||_2
     with the three-step scheme: closed-form V update, row-wise soft threshold
-    of V + U at lam/rho, dual ascent U += V - Z.  Stops when the primal
-    ||V - Z||_F and dual rho*||Z_t - Z_{t-1}||_F residuals both fall below
-    tol (default 1e-6 * ||Y||_F).  The thresholded iterate Z — which carries
+    of V + U at lam/rho, dual ascent U += V - Z, with rho = opts.gl_rho.
+    Stops when the primal ||V - Z||_F and dual rho*||Z_t - Z_{t-1}||_F
+    residuals both fall below opts.gl_tol (None: 1e-6 * ||Y||_F), or after
+    opts.gl_max_iter iterations.  The thresholded iterate Z — which carries
     exact zero rows — is returned as the solution.
 
     init, when given, is the (factor, dual) pair of a previous result.
     """
     y = np.asarray(residual, dtype=float)
-    if lam < 0 or rho <= 0:
-        raise ValueError("need lam >= 0 and rho > 0")
+    if lam < 0:
+        raise ValueError("need lam >= 0")
+    opts = opts or SolverOptions()
+    rho, tol, max_iter = opts.gl_rho, opts.gl_tol, opts.gl_max_iter
     tol_abs = 1e-6 * float(np.linalg.norm(y)) if tol is None else float(tol)
     if init is None:
         z = np.zeros_like(y)
@@ -454,8 +444,6 @@ def group_lasso(residual, lam, rho=SolverOptions.gl_rho, tol=SolverOptions.gl_to
     q = lam / rho
     nt = y.shape[0]
     converged = False
-    primal = dual = math.inf
-    it = 0
     for it in range(1, max_iter + 1):
         d = z - u
         v = (y - d.T + (rho + 1.0) * d) / (rho + 2.0)
@@ -477,7 +465,7 @@ def group_lasso(residual, lam, rho=SolverOptions.gl_rho, tol=SolverOptions.gl_to
             break
     if not converged:
         logger.warning(
-            "group lasso hit max_iter=%d (primal %.3g, dual %.3g, tol %.3g)",
+            "group lasso stopped at gl_max_iter = %d (primal %.3g, dual %.3g, tol %.3g)",
             max_iter, primal, dual, tol_abs,
         )
     return GroupLassoResult(
@@ -486,18 +474,12 @@ def group_lasso(residual, lam, rho=SolverOptions.gl_rho, tol=SolverOptions.gl_to
         alpha=np.linalg.norm(z, axis=1),
         iterations=it,
         converged=converged,
-        primal_residual=primal,
-        dual_residual=dual,
     )
 
 
-def lambda_max(residual):
-    """Smallest penalty whose solution is all-zero: the largest row norm."""
-    return float(np.max(np.linalg.norm(np.asarray(residual, dtype=float), axis=1)))
-
-
 def lambda_grid(residual, num=SolverOptions.gl_grid, floor_ratio=SolverOptions.lambda_floor):
-    """Descending linspace from lambda_max down to floor_ratio * min row norm."""
+    """Descending linspace from the largest row norm, the smallest penalty
+    whose solution is all-zero, down to floor_ratio * min row norm."""
     norms = np.linalg.norm(np.asarray(residual, dtype=float), axis=1)
     hi = float(norms.max())
     lo = floor_ratio * float(norms.min())
@@ -508,15 +490,14 @@ def lambda_grid(residual, num=SolverOptions.gl_grid, floor_ratio=SolverOptions.l
 
 @dataclass
 class GroupLassoPath:
-    lambdas: np.ndarray
     alphas: np.ndarray            # grid x n row norms
     activation_lambda: np.ndarray  # first (largest) active lambda per node, nan if never
     converged: np.ndarray
 
 
-def group_lasso_path(residual, grid, rho=SolverOptions.gl_rho, tol=SolverOptions.gl_tol,
-                     max_iter=SolverOptions.gl_max_iter):
-    """Warm-started ADMM down a strictly descending positive penalty grid."""
+def group_lasso_path(residual, grid, opts=None):
+    """Warm-started ADMM down a strictly descending positive penalty grid;
+    opts is the SolverOptions of every group_lasso call."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("grid must be positive")
@@ -528,7 +509,7 @@ def group_lasso_path(residual, grid, rho=SolverOptions.gl_rho, tol=SolverOptions
     conv = np.zeros(grid.size, dtype=bool)
     state = None
     for t, lam in enumerate(grid):
-        res = group_lasso(y, lam, rho=rho, tol=tol, max_iter=max_iter, init=state)
+        res = group_lasso(y, lam, opts, init=state)
         state = (res.factor, res.dual)
         alphas[t] = res.alpha
         conv[t] = res.converged
@@ -538,23 +519,21 @@ def group_lasso_path(residual, grid, rho=SolverOptions.gl_rho, tol=SolverOptions
         hits = np.flatnonzero(alphas[:, i] > act_tol)
         if hits.size:
             activation[i] = grid[hits[0]]
-    return GroupLassoPath(lambdas=grid, alphas=alphas,
-                          activation_lambda=activation, converged=conv)
+    return GroupLassoPath(alphas=alphas, activation_lambda=activation, converged=conv)
 
 
-def group_lasso_support(residual, m, grid=None, rho=SolverOptions.gl_rho,
-                        tol=SolverOptions.gl_tol, max_iter=SolverOptions.gl_max_iter):
-    """Support via the penalty path: descend until at least m rows are active,
-    then take the m largest row norms (falls back to the last grid point)."""
+def group_lasso_support(residual, m, opts=None):
+    """Support via the penalty path over lambda_grid(y, opts.gl_grid,
+    opts.lambda_floor): descend until at least m rows are active, then take
+    the m largest row norms (falls back to the last grid point)."""
     y = np.asarray(residual, dtype=float)
     if not 1 <= m < y.shape[0]:
         raise ValueError(f"need 1 <= m < n, got m={m}")
-    if grid is None:
-        grid = lambda_grid(y)
+    opts = opts or SolverOptions()
     state = None
     res = None
-    for lam in grid:
-        res = group_lasso(y, lam, rho=rho, tol=tol, max_iter=max_iter, init=state)
+    for lam in lambda_grid(y, opts.gl_grid, opts.lambda_floor):
+        res = group_lasso(y, lam, opts, init=state)
         state = (res.factor, res.dual)
         if int((res.alpha > 0).sum()) >= m:
             break
@@ -584,10 +563,7 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None):
     avg = _average(residuals)
     sol = None
     if method == "glasso":
-        opts = opts or SolverOptions()
-        grid = lambda_grid(avg, num=opts.gl_grid, floor_ratio=opts.lambda_floor)
-        idx = group_lasso_support(avg, m, grid=grid, rho=opts.gl_rho, tol=opts.gl_tol,
-                                  max_iter=opts.gl_max_iter)
+        idx = group_lasso_support(avg, m, opts)
     elif method == "hard":
         idx = hard_threshold(avg, m)
     elif method == "lse":

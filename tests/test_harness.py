@@ -207,10 +207,10 @@ def test_solver_settings_defaults_and_overrides():
     ("sdp_max_inner", "0"), ("sdp_max_outer", "0"), ("sdp_feas_tol", "0"),
     ("gl_grid", "0"), ("gl_rho", "0"), ("gl_max_iter", "0"), ("sdp_rank", "two"),
     ("gl_tol", "0"), ("gl_tol", "-1"), ("lambda_floor", "0"), ("lambda_floor", "-0.5"),
-    ("truncation", "0"), ("truncation", "-1"),
+    ("truncation", "0"), ("truncation", "-1"), ("gl_rho", "abc"), ("sigma", "abc"),
 ])
 def test_bad_solver_settings_fail_at_plan_build(key, value):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=key):
         build_plan(small_snr_cfg(**{key: value}))
 
 
@@ -385,15 +385,35 @@ def test_refine_preset_points_respect_sampler_cap():
     ({"preset": "exp-heavytail", "n": "3"}, "gives m=3 at n=3"),
     ({"preset": "exp-coherence", "n": "10", "params": "mu=1|screen=on"}, "gives m=10 at n=10"),
     ({"preset": "exp-path", "n": "5"}, "gives m=5 at n=5"),
+    ({"preset": "exp-snr", "c_screen": "0"}, "c_screen must be finite and > 0, got 0"),
+    ({"preset": "exp-snr", "c_screen": "abc"}, "c_screen = 'abc' is not a number"),
+    ({"preset": "exp-coherence", "params": "mu=1|screen=on", "c_screen": "inf"},
+     "c_screen must be finite and > 0, got inf"),
+    ({"preset": "exp-snr", "r": "0"}, "r must be finite and > 0, got 0"),
+    ({"preset": "exp-snr", "r": "two"}, "r = 'two' is not an integer"),
+    ({"preset": "exp-coherence", "r": "two"}, "r = 'two' is not an integer"),
+    ({"preset": "exp-refine", "r": "two"}, "r = 'two' is not an integer"),
 ], ids=["exp-glfail", "exp-coherence", "exp-eigengap", "exp-snr-m", "exp-snr-m-rounds-to-0",
         "exp-snr-m-inf", "exp-multicopy-m", "exp-heavytail-m", "exp-coherence-m",
-        "exp-path-m"])
+        "exp-path-m", "exp-snr-c_screen-0", "exp-snr-c_screen-abc", "exp-coherence-c_screen-inf",
+        "exp-snr-r-0", "exp-snr-r-two", "exp-coherence-r-two", "exp-refine-r-two"])
 def test_presets_reject_points_the_samplers_reject(over, match):
     # at n = 60 the decoy construction is too small, and mu = sqrt(n)*log(n)
     # (an exp-coherence point and the exp-eigengap default) exceeds n/r = 20;
     # the samplers need a support size 1 <= m < n
     with pytest.raises(ConfigError, match=match):
         build_plan(config_from_mapping({"n": "60", **over}))
+
+
+@pytest.mark.parametrize("over,unread", [
+    ({"preset": "exp-eigengap", "r": "5"}, "r"),
+    ({"preset": "exp-path", "c_screen": "5", "sdp_rank": "7"}, "c_screen, sdp_rank"),
+    ({"preset": "exp-glfail", "mu": "3", "r": "9"}, "mu, r"),
+    ({"preset": "exp-refine", "sdp_rank": "9", "m": "1000"}, "m, sdp_rank"),
+], ids=["exp-eigengap", "exp-path", "exp-glfail", "exp-refine"])
+def test_presets_reject_keys_they_never_read(over, unread):
+    with pytest.raises(ConfigError, match=f"does not read {unread}$"):
+        build_plan(config_from_mapping(over))
 
 
 def test_multicopy_preset_row_count():

@@ -104,15 +104,16 @@ def test_screening_keeps_quiet_rows_and_flags_spiky():
     n = 500
     gt, _ = planted(n, 3, n ** 0.75, 5)
     dec = spectral_init(gt.shared_matrix(), 3)
-    res = select_low_coherence(dec, 2.0)
+    kept = select_low_coherence(dec, 2.0)
     spiky = int(n // n ** 0.75)
-    assert res.kept_count == res.kept.size
-    assert res.kept_count <= n - 1  # spiky rows exist and get dropped
-    dropped = np.setdiff1d(np.arange(n), res.kept)
+    assert kept.size <= n - 1  # spiky rows exist and get dropped
+    assert np.all(np.diff(kept) > 0)
+    dropped = np.setdiff1d(np.arange(n), kept)
     assert dropped.size >= 1
     # every dropped row is above threshold, every kept row below
-    assert (res.row_norms[dropped] > res.threshold).all()
-    assert (res.row_norms[res.kept] <= res.threshold).all()
+    row_norms, threshold = np.linalg.norm(dec.right, axis=1), 2.0 * n ** -0.25
+    assert (row_norms[dropped] > threshold).all()
+    assert (row_norms[kept] <= threshold).all()
     assert dropped.size <= 3 * spiky
 
 
@@ -120,8 +121,7 @@ def test_screening_flat_basis_keeps_everything():
     n = 200
     gt, _ = planted(n, 3, np.log(float(n)), 6)
     dec = spectral_init(gt.shared_matrix(), 3)
-    res = select_low_coherence(dec, 2.0)
-    assert res.kept_count == n
+    assert np.array_equal(select_low_coherence(dec, 2.0), np.arange(n))
 
 
 def test_screening_empty_keep_raises():
@@ -153,8 +153,8 @@ def test_form_residual_with_kept_subsets_rows():
     keep = select_low_coherence(dec, 2.0)
     full = form_residual(y1, dec)
     sub = form_residual(y1, dec, keep)
-    assert sub.shape == (keep.kept_count, keep.kept_count)
-    assert np.allclose(sub, full[np.ix_(keep.kept, keep.kept)])
+    assert sub.shape == (keep.size, keep.size)
+    assert np.allclose(sub, full[np.ix_(keep, keep)])
 
 
 def test_noise_scale_near_truth():
@@ -222,8 +222,7 @@ def test_stage_one_matches_the_chains_it_replaces(case):
         dec = spectral_init(y0, r)
         keep = select_low_coherence(dec) if case == "screen" else None
         got = stage_one(y1, y0, r, c_screen=2.0 if case == "screen" else None)
-        want = ([form_residual(y, dec, keep) for y in y1], None if keep is None else keep.kept,
-                estimate_noise_scale(y0[0], dec))
+        want = ([form_residual(y, dec, keep) for y in y1], keep, estimate_noise_scale(y0[0], dec))
     (resids, kept, tau), (want_resids, want_kept, want_tau) = got, want
     assert len(resids) == len(want_resids)
     assert all(np.array_equal(a, w) for a, w in zip(resids, want_resids))

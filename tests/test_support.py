@@ -20,7 +20,6 @@ from netcontrast.support import (
     group_lasso_support,
     hard_threshold,
     lambda_grid,
-    lambda_max,
     select_m,
     solve_sdp,
 )
@@ -112,11 +111,11 @@ def test_sdp_residuals_within_tolerance_when_converged():
     # every iterate is feasible, so the residuals are rounding only
     assert sol.trace_residual <= 1e-12 * k
     assert sol.sum_residual <= 1e-12 * k * k
-    z = sol.z()
+    z = sol.factor @ sol.factor.T
     assert np.linalg.eigvalsh(z).min() >= -1e-9
     # monitors only: the relaxation does not constrain entries or the diagonal
-    assert sol.negative_entry < 0.5
-    assert sol.diag_excess < 1.0
+    assert -z.min() < 0.5
+    assert np.diagonal(z).max() - 1.0 < 1.0
 
 
 def test_sdp_row_sums_split_cleanly_noiseless():
@@ -424,9 +423,10 @@ def test_select_m_pure_noise_shrinks_to_one():
     assert sel.m == 1
 
 
-def test_select_m_cap_reports_nonconverged():
+def test_select_m_cap_reports_nonconverged(monkeypatch):
+    monkeypatch.setattr(support, "_M_STEPS", 3)
     y = symmetric_noise(30, rng_of(14))
-    sel = select_m(y, sigma_hat=1e-8, m0=2, rng=rng_of(0), max_steps=3)
+    sel = select_m(y, sigma_hat=1e-8, m0=2, rng=rng_of(0))
     assert not sel.converged
     assert sel.steps == 3
 
@@ -465,7 +465,7 @@ def test_group_lasso_matches_proximal_oracle():
     y = symmetric_noise(25, rng)
     b, sup = sample_node_sparse(25, 3, 2.0, rng)
     y = y + b
-    lam = 0.5 * lambda_max(y)
+    lam = 0.5 * lambda_grid(y)[0]
     res = group_lasso(y, lam)
     assert res.converged
     ref = fista_oracle(y, lam)
@@ -480,8 +480,8 @@ def test_group_lasso_kkt_conditions():
     y = symmetric_noise(20, rng)
     b, _ = sample_node_sparse(20, 3, 2.0, rng)
     y = y + b
-    lam = 0.4 * lambda_max(y)
-    res = group_lasso(y, lam, tol=1e-10 * np.linalg.norm(y), max_iter=20000)
+    lam = 0.4 * lambda_grid(y)[0]
+    res = group_lasso(y, lam, SolverOptions(gl_tol=1e-10 * np.linalg.norm(y), gl_max_iter=20000))
     z = res.factor
     grad = z + z.T - y
     scale = np.linalg.norm(y)
@@ -496,7 +496,7 @@ def test_group_lasso_kkt_conditions():
 
 def test_group_lasso_zero_above_lambda_max():
     y = symmetric_noise(15, rng_of(17))
-    res = group_lasso(y, lambda_max(y) * 1.0001)
+    res = group_lasso(y, lambda_grid(y)[0] * 1.0001)
     assert res.converged
     assert np.all(res.alpha == 0)
     assert np.all(res.factor == 0)
@@ -506,12 +506,12 @@ def test_group_lasso_lam_zero_reproduces_symmetric_part():
     y = symmetric_noise(12, rng_of(18))
     res = group_lasso(y, 0.0)
     assert res.converged
-    assert np.allclose(res.perturbation(), y, atol=1e-5)
+    assert np.allclose(res.factor + res.factor.T, y, atol=1e-5)
 
 
 def test_group_lasso_scale_equivariance():
     y = symmetric_noise(14, rng_of(19))
-    lam = 0.3 * lambda_max(y)
+    lam = 0.3 * lambda_grid(y)[0]
     a = group_lasso(y, lam)
     b = group_lasso(2.5 * y, 2.5 * lam)
     assert np.allclose(2.5 * a.factor, b.factor, atol=1e-5 * np.linalg.norm(y))
@@ -522,16 +522,16 @@ def test_group_lasso_validation_and_max_iter_warning(caplog):
     with pytest.raises(ValueError):
         group_lasso(y, -1.0)
     with pytest.raises(ValueError):
-        group_lasso(y, 1.0, rho=0.0)
+        group_lasso(y, 1.0, SolverOptions(gl_rho=0.0))
     with caplog.at_level(logging.WARNING, logger="netcontrast.support"):
-        res = group_lasso(y, 0.1 * lambda_max(y), max_iter=2)
+        res = group_lasso(y, 0.1 * lambda_grid(y)[0], SolverOptions(gl_max_iter=2))
     assert not res.converged
     assert "max_iter" in caplog.text
 
 
 def test_lambda_max_is_exact_boundary():
     y = symmetric_noise(10, rng_of(21))
-    hi = lambda_max(y)
+    hi = lambda_grid(y)[0]
     assert hi == np.linalg.norm(y, axis=1).max()
     assert np.all(group_lasso(y, hi * 1.001).alpha == 0)
     assert np.any(group_lasso(y, hi * 0.97).alpha > 0)
@@ -582,10 +582,10 @@ def test_group_lasso_support_recovers_planted():
 @given(st.integers(0, 10_000), st.floats(0.2, 5.0))
 def test_group_lasso_shrinks_row_norms(seed, lam_frac):
     y = symmetric_noise(9, rng_of(seed))
-    lam = lam_frac * lambda_max(y) / 2
-    res = group_lasso(y, lam, max_iter=3000)
+    lam = lam_frac * lambda_grid(y)[0] / 2
+    res = group_lasso(y, lam, SolverOptions(gl_max_iter=3000))
     assert np.all(res.alpha <= np.linalg.norm(y, axis=1) + 1e-6)
-    if lam >= lambda_max(y):
+    if lam >= lambda_grid(y)[0]:
         assert np.all(res.alpha == 0)
 
 
@@ -596,8 +596,12 @@ def _direct_support(method, copies, m, tau, opts, rng):
     """The call chain each method stood for before `recover` (local indices)."""
     avg = np.mean(np.stack(copies), axis=0)
     if method == "glasso":
-        grid = lambda_grid(avg, num=12, floor_ratio=0.7)
-        return group_lasso_support(avg, m, grid=grid, rho=2.0, max_iter=800)
+        # the first point of the path over lambda_grid(avg, 12, 0.7) with m
+        # active rows, else the last; its m largest row norms
+        path = group_lasso_path(avg, lambda_grid(avg, 12, 0.7), opts)
+        active = (path.alphas > 0).sum(axis=1) >= m
+        alpha = path.alphas[np.argmax(active) if active.any() else -1]
+        return np.sort(np.argsort(-alpha, kind="stable")[:m])
     if method == "hard":
         return hard_threshold(avg, m)
     if method == "lse":
