@@ -138,15 +138,18 @@ def _cmd_generate(args):
     sigma_b = harness.eval_rule(args.sigma_b, n=n, r=r)
     vals = np.array([harness.eval_rule(args.eigenvalues, n=n, r=r, i=i)
                      for i in range(1, r + 1)])
-    noise = model.NoiseSpec(family=args.noise, sigma=args.sigma,
-                            sigma_min=args.sigma_min, sigma_max=args.sigma_max)
-    basis = model.sample_incoherent_basis(n, r, mu, rng)
-    n_perturb = 1 if args.shared else args.g1
-    perturbations = [model.sample_node_sparse(n, m, sigma_b, rng)
-                     for _ in range(n_perturb)]
-    truth = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=perturbations)
-    obs = model.assemble_observations(truth, noise, args.g0, args.g1, rng,
-                                      shared=args.shared)
+    try:
+        noise = model.NoiseSpec(family=args.noise, sigma=args.sigma,
+                                sigma_min=args.sigma_min, sigma_max=args.sigma_max)
+        basis = model.sample_incoherent_basis(n, r, mu, rng)
+        n_perturb = 1 if args.shared else args.g1
+        perturbations = [model.sample_node_sparse(n, m, sigma_b, rng)
+                         for _ in range(n_perturb)]
+        truth = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=perturbations)
+        obs = model.assemble_observations(truth, noise, args.g0, args.g1, rng,
+                                          shared=args.shared)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,7 @@ methods fail, multi-copy and truncated costs under heteroscedastic or
 heavy-tailed noise, screening on spiky eigenvectors, refinement error sweeps,
 and the group-lasso penalty path.  Runs are deterministic for a given base
 seed regardless of thread count: every trial derives its generators from
-(seed, n-index, param-index, trial, stream) and rows are emitted in a fixed
+(seed, n-index, point-index, trial, stream) and rows are emitted in a fixed
 order.
 """
 
@@ -159,7 +159,7 @@ def config_from_mapping(raw):
             seed=int(raw.pop("seed", 0)),
             methods=_str_tuple(raw.pop("methods")) if "methods" in raw else None,
             params=_str_tuple(raw.pop("params")) if "params" in raw else None,
-            timing=_parse_bool(raw.pop("timing", "0")),
+            timing=_parse_bool("timing", raw.pop("timing", "0")),
             options=raw,
         )
     except ValueError as exc:
@@ -179,13 +179,13 @@ def _str_tuple(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip() != "")
 
 
-def _parse_bool(text):
+def _parse_bool(key, text):
     lowered = str(text).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise ConfigError(f"{key} expects a boolean, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,32 +210,22 @@ class ExperimentResult:
     def summary(self, level=0.95, resamples=1000):
         """Per-(n, method, param) mean, sd, bootstrap CI over non-nan values."""
         groups = {}
-        order = []
         for row in self.rows:
-            key = (row.n, row.method, row.param)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row.value)
+            groups.setdefault((row.n, row.method, row.param), []).append(row.value)
         out = []
-        for gi, key in enumerate(order):
-            vals = np.array([v for v in groups[key] if not math.isnan(v)])
-            if vals.size == 0:
-                out.append({"n": key[0], "method": key[1], "param": key[2],
-                            "mean": math.nan, "sd": math.nan,
-                            "ci_low": math.nan, "ci_high": math.nan, "count": 0})
-                continue
-            mean = float(vals.mean())
-            sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+        for gi, ((n, method, param), values) in enumerate(groups.items()):
+            vals = np.array([v for v in values if not math.isnan(v)])
+            mean = sd = lo = hi = math.nan
+            if vals.size:
+                mean = lo = hi = float(vals.mean())
+                sd = 0.0
             if vals.size > 1:
+                sd = float(vals.std(ddof=1))
                 rng = np.random.default_rng(
                     np.random.SeedSequence(self.config.seed, spawn_key=(1 << 20, gi)))
                 lo, hi = bootstrap_ci(vals, level=level, resamples=resamples, rng=rng)
-            else:
-                lo = hi = mean
-            out.append({"n": key[0], "method": key[1], "param": key[2],
-                        "mean": mean, "sd": sd, "ci_low": lo, "ci_high": hi,
-                        "count": int(vals.size)})
+            out.append({"n": n, "method": method, "param": param, "mean": mean, "sd": sd,
+                        "ci_low": lo, "ci_high": hi, "count": int(vals.size)})
         return out
 
 
@@ -285,14 +275,11 @@ class _Plan:
     n_list: tuple
     trials: int
     methods: tuple
-    params: tuple
-    cell: object            # see per_trial
-    per_trial: bool = False
-    # cell signatures:
-    #   per_trial=False: cell(n, param, data_rng, method_rngs, timing)
-    #                    -> [(method, value, runtime_ms, converged), ...]
-    #   per_trial=True:  cell(n, data_rng, method_rngs, timing)
-    #                    -> [(method, param, value, runtime_ms, converged), ...]
+    params: tuple           # the param labels of the rows
+    points: tuple           # the converted points, one seeded task each
+    cell: object
+    # cell(n, point, data_rng, method_rngs, timing)
+    #     -> {(method, param): (value, runtime_ms, converged)}
 
 
 def _child_rng(seed, ni, pj, trial, stream):
@@ -306,13 +293,10 @@ def run_experiment(cfg, threads=1):
     convergence flag; they never abort the sweep.
     """
     plan = build_plan(cfg)
-    if plan.per_trial:
-        tasks = [(ni, 0, t) for ni in range(len(plan.n_list)) for t in range(plan.trials)]
-    else:
-        tasks = [(ni, pj, t)
-                 for ni in range(len(plan.n_list))
-                 for pj in range(len(plan.params))
-                 for t in range(plan.trials)]
+    tasks = [(ni, pj, t)
+             for ni in range(len(plan.n_list))
+             for pj in range(len(plan.points))
+             for t in range(plan.trials)]
 
     def work(key):
         ni, pj, t = key
@@ -321,43 +305,27 @@ def run_experiment(cfg, threads=1):
         mrngs = {meth: _child_rng(cfg.seed, ni, pj, t, 1 + k)
                  for k, meth in enumerate(plan.methods)}
         try:
-            if plan.per_trial:
-                out = plan.cell(n, data_rng, mrngs, cfg.timing)
-            else:
-                out = plan.cell(n, plan.params[pj], data_rng, mrngs, cfg.timing)
+            return plan.cell(n, plan.points[pj], data_rng, mrngs, cfg.timing)
         except Exception:
-            logger.warning("trial failed (n=%d, param-index=%d, trial=%d)",
+            logger.warning("trial failed (n=%d, point-index=%d, trial=%d)",
                            n, pj, t, exc_info=True)
-            if plan.per_trial:
-                out = [(meth, param, math.nan, 0.0, False)
-                       for param in plan.params for meth in plan.methods]
-            else:
-                out = [(meth, math.nan, 0.0, False) for meth in plan.methods]
-        return key, out
+            return {}
 
-    results = {}
     if threads <= 1:
-        for key in tasks:
-            key, out = work(key)
-            results[key] = out
+        outs = [work(key) for key in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, out in pool.map(work, tasks):
-                results[key] = out
+            outs = list(pool.map(work, tasks))
+    emitted = {}
+    for (ni, _, t), out in zip(tasks, outs):
+        emitted.setdefault((ni, t), {}).update(out)
 
-    rows = []
-    for ni, n in enumerate(plan.n_list):
-        for pj, param in enumerate(plan.params):
-            for t in range(plan.trials):
-                if plan.per_trial:
-                    emitted = {(meth, par): (val, ms, conv)
-                               for meth, par, val, ms, conv in results[(ni, 0, t)]}
-                    for meth in plan.methods:
-                        val, ms, conv = emitted.get((meth, param), (math.nan, 0.0, False))
-                        rows.append(ResultRow(n, meth, param, t, val, ms, conv))
-                else:
-                    for meth, val, ms, conv in results[(ni, pj, t)]:
-                        rows.append(ResultRow(n, meth, param, t, val, ms, conv))
+    rows = [ResultRow(n, meth, param, t,
+                      *emitted[ni, t].get((meth, param), (math.nan, 0.0, False)))
+            for ni, n in enumerate(plan.n_list)
+            for param in plan.params
+            for t in range(plan.trials)
+            for meth in plan.methods]
     return ExperimentResult(config=cfg, rows=rows)
 
 
@@ -413,9 +381,10 @@ def _noise_from(o, family):
         raise ConfigError(str(exc)) from None
 
 
-def _support_fnr(methods, resids, tau, m, truth, kept, mrngs, opts, timing):
-    """One trial's FNR per support method; resids is a matrix or list of copies."""
-    rows = []
+def _support_fnr(methods, param, resids, tau, m, truth, kept, mrngs, opts, timing):
+    """One trial's FNR per support method, keyed by (method, param); resids
+    is a matrix or list of copies.  A method that fails leaves its key out."""
+    out = {}
     for meth in methods:
         def run(meth=meth):
             idx, sol = support.recover(meth, resids, m, tau=tau, kept=kept,
@@ -425,15 +394,9 @@ def _support_fnr(methods, resids, tau, m, truth, kept, mrngs, opts, timing):
             (value, conv), ms = _timed(run, timing)
         except Exception:
             logger.warning("method %s failed", meth, exc_info=True)
-            value, conv, ms = math.nan, False, 0.0
-        rows.append((meth, value, ms, conv))
-    return rows
-
-
-def _planted_truth(n, r, mu, eig_rule, data_rng):
-    basis = model.sample_incoherent_basis(n, r, mu, data_rng)
-    vals = np.array([eval_rule(eig_rule, n=n, i=i, r=r) for i in range(1, r + 1)])
-    return basis, vals
+            continue
+        out[meth, param] = (value, ms, conv)
+    return out
 
 
 def _check_methods(cfg, allowed, default):
@@ -451,35 +414,73 @@ _ONE_COPY_NO_TAU = tuple(m for m in _ONE_COPY if m != "sdp-trunc")
 _TWO_COPIES_NO_TAU = tuple(m for m in support.METHODS if m != "sdp-trunc")
 
 
-def _rule(o, key, default, n_list, extra=None):
-    expr = o.get(key, default)
-    for n in n_list:
-        val = eval_rule(expr, n=n, **(extra or {}))
-        if not val > 0:
-            raise ConfigError(f"rule {key} = {expr!r} is not positive at n={n}")
-    return expr
+# Builders convert every rule and point once, at plan build, into per-n
+# tables {n: value}; a value the samplers would reject is a ConfigError here
+def _rule_at(what, expr, n_list, positive=False, **extra):
+    """{n: expr at n}; an expr that does not evaluate, or that is not finite
+    and > 0 at some n when positive is set, is a ConfigError that names what."""
+    try:
+        values = {n: eval_rule(expr, n=n, **extra) for n in n_list}
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    for n, val in values.items():
+        if positive and not 0 < val < math.inf:
+            raise ConfigError(f"{what} is not finite and > 0 at n={n}")
+    return values
 
 
-def _m_rule(o, default, n_list, extra=None):
-    """The support-size rule, after checking that it rounds to 1 <= m < n at
-    every n, as the samplers require."""
-    expr = _rule(o, "m", default, n_list, extra)
-    for n in n_list:
-        m = eval_rule(expr, n=n, **(extra or {}))
+def _m_rule(o, default, n_list, **extra):
+    """{n: support size} of the rule m, after checking that it rounds to
+    1 <= m < n at every n, as the samplers require."""
+    expr = o.get("m", default)
+    sizes = _rule_at(f"rule m = {expr!r}", expr, n_list, **extra)
+    for n, m in sizes.items():
         if not (math.isfinite(m) and 1 <= round(m) < n):
             raise ConfigError(f"rule m = {expr!r} gives m={m:g} at n={n}; "
                               "need 1 <= round(m) < n")
-    return expr
+    return {n: int(round(m)) for n, m in sizes.items()}
 
 
-def _check_mu(what, expr, n_list, r):
-    """expr, after checking that it gives a coherence mu in the samplers'
-    range [1, n/r] at every n."""
-    for n in n_list:
-        mu = eval_rule(expr, n=n, r=r)
+def _mu_rule(what, expr, n_list, r):
+    """{n: coherence mu} of expr, after checking that it lies in the
+    samplers' range [1, n/r] at every n."""
+    mus = _rule_at(what, expr, n_list, r=r)
+    for n, mu in mus.items():
         if not 1.0 <= mu <= n / r:
             raise ConfigError(f"{what} at n={n}: mu={mu:g} must lie in [1, n/r={n / r:g}]")
-    return expr
+    return mus
+
+
+def _eigenvalues(o, n_list, r):
+    """{n: planted eigenvalues i = 1..r} of the rule eigenvalues."""
+    expr = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
+    by_i = [_rule_at(f"rule eigenvalues = {expr!r}", expr, n_list, i=i, r=r)
+            for i in range(1, r + 1)]
+    return {n: np.array([vals[n] for vals in by_i]) for n in n_list}
+
+
+def _coefficient_points(cfg, params, o, n_list, **extra):
+    """(param, {n: sigma_b}) per C-coefficient param: C must be a number and
+    the rule sigma_b finite and positive at every (n, C)."""
+    expr = o.get("sigma_b", "C * n**(-0.25) * log(n)**0.25")
+    return tuple((param, _rule_at(f"{cfg.preset} point {param!r}: rule sigma_b = {expr!r}",
+                                  expr, n_list, True, **extra,
+                                  C=_convert(f"{cfg.preset} point C", param, float)))
+                 for param in params)
+
+
+def _point_fields(what, param, required, optional=()):
+    """The fields of point param, "key=value|key=value": each of required
+    once, and each of optional at most once."""
+    fields = {}
+    for part in param.split("|"):
+        key, _, val = (s.strip() for s in part.partition("="))
+        if not val or key not in required + optional or key in fields:
+            raise ConfigError(f"{what}: field {part!r} is malformed, unknown or repeated")
+        fields[key] = val
+    if not set(required) <= fields.keys():
+        raise ConfigError(f"{what} needs {'|'.join(k + '=...' for k in required)}")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -494,27 +495,25 @@ def _build_snr(cfg):
     o = cfg.options
     opts = solver_settings(o)
     r = _positive(o, "r", 3, int)
-    mu_rule = _check_mu("exp-snr mu", o.get("mu", "log(n)"), n_list, r)
-    m_rule = _m_rule(o, "10", n_list, extra={"r": r})
-    sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list,
-                    extra={"r": r, "C": 1.0})
-    eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
+    mus = _mu_rule("exp-snr mu", o.get("mu", "log(n)"), n_list, r)
+    sizes = _m_rule(o, "10", n_list, r=r)
+    points = _coefficient_points(cfg, params, o, n_list, r=r)
+    eigenvalues = _eigenvalues(o, n_list, r)
     noise = _noise_from(o, "gaussian-iid")
     c_screen = _positive(o, "c_screen", spectral.C_SCREEN, float)
 
-    def cell(n, param, data_rng, mrngs, timing):
-        coeff = float(param)
-        mu = eval_rule(mu_rule, n=n, r=r)
-        m = int(round(eval_rule(m_rule, n=n, r=r)))
-        sigma_b = eval_rule(sb_rule, n=n, r=r, C=coeff)
-        basis, vals = _planted_truth(n, r, mu, eig_rule, data_rng)
-        b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
-        gt = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=[(b, truth_sup)])
+    def cell(n, point, data_rng, mrngs, timing):
+        param, sigma_b = point
+        m = sizes[n]
+        basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
+        b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng)
+        gt = model.GroundTruth(basis=basis, eigenvalues=eigenvalues[n],
+                               perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
         resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen)
-        return _support_fnr(methods, resids, tau, m, truth_sup, kept, mrngs, opts, timing)
+        return _support_fnr(methods, param, resids, tau, m, truth_sup, kept, mrngs, opts, timing)
 
-    return _Plan(n_list, trials, methods, params, cell)
+    return _Plan(n_list, trials, methods, params, points, cell)
 
 
 def _build_glfail(cfg):
@@ -533,9 +532,10 @@ def _build_glfail(cfg):
     def cell(n, param, data_rng, mrngs, timing):
         b, signal, _ = model.sample_decoy_perturbation(n, data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
-        return _support_fnr(methods, y, None, len(signal), signal, None, mrngs, opts, timing)
+        return _support_fnr(methods, param, y, None, len(signal), signal, None, mrngs, opts,
+                            timing)
 
-    return _Plan(n_list, trials, methods, params, cell)
+    return _Plan(n_list, trials, methods, params, params, cell)
 
 
 def _build_multicopy(cfg):
@@ -546,20 +546,20 @@ def _build_multicopy(cfg):
     params = cfg.params or ("3.2",)
     o = cfg.options
     opts = solver_settings(o)
-    m_rule = _m_rule(o, "ceil(2*log(n))", n_list)
-    sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list, extra={"C": 1.0})
+    sizes = _m_rule(o, "ceil(2*log(n))", n_list)
+    points = _coefficient_points(cfg, params, o, n_list)
     noise = _noise_from(o, "gaussian-row-hetero")
 
-    def cell(n, param, data_rng, mrngs, timing):
-        coeff = float(param)
-        m = int(round(eval_rule(m_rule, n=n)))
-        sigma_b = eval_rule(sb_rule, n=n, C=coeff)
-        b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
+    def cell(n, point, data_rng, mrngs, timing):
+        param, sigma_b = point
+        m = sizes[n]
+        b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng)
         y1 = b + model.sample_noise(n, noise, data_rng)
         y2 = b + model.sample_noise(n, noise, data_rng)
-        return _support_fnr(methods, [y1, y2], None, m, truth_sup, None, mrngs, opts, timing)
+        return _support_fnr(methods, param, [y1, y2], None, m, truth_sup, None, mrngs, opts,
+                            timing)
 
-    return _Plan(n_list, trials, methods, params, cell)
+    return _Plan(n_list, trials, methods, params, points, cell)
 
 
 def _build_heavytail(cfg):
@@ -570,30 +570,19 @@ def _build_heavytail(cfg):
     params = cfg.params or ("2.0",)
     o = cfg.options
     opts = solver_settings(o)
-    m_rule = _m_rule(o, "ceil(2*log(n))", n_list)
-    sb_rule = _rule(o, "sigma_b", "C * n**(-0.25) * log(n)**0.25", n_list, extra={"C": 1.0})
+    sizes = _m_rule(o, "ceil(2*log(n))", n_list)
+    points = _coefficient_points(cfg, params, o, n_list)
     noise = _noise_from(o, "scaled-t4")
 
-    def cell(n, param, data_rng, mrngs, timing):
-        coeff = float(param)
-        m = int(round(eval_rule(m_rule, n=n)))
-        sigma_b = eval_rule(sb_rule, n=n, C=coeff)
-        b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng)
+    def cell(n, point, data_rng, mrngs, timing):
+        param, sigma_b = point
+        m = sizes[n]
+        b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
         resids, _, tau = spectral.stage_one([y], [], 0, c_screen=None)
-        return _support_fnr(methods, resids, tau, m, truth_sup, None, mrngs, opts, timing)
+        return _support_fnr(methods, param, resids, tau, m, truth_sup, None, mrngs, opts, timing)
 
-    return _Plan(n_list, trials, methods, params, cell)
-
-
-def _parse_param_fields(param):
-    fields = {}
-    for part in str(param).split("|"):
-        key, _, val = part.partition("=")
-        if not val:
-            raise ConfigError(f"malformed param {param!r}; expected key=value|key=value")
-        fields[key.strip()] = val.strip()
-    return fields
+    return _Plan(n_list, trials, methods, params, points, cell)
 
 
 def _build_coherence(cfg):
@@ -610,46 +599,47 @@ def _build_coherence(cfg):
     # mu <= n/r; the screening-necessity band at mu = n^0.75 is sharper at
     # r=4 (spiky-row error energy grows with r) -- set r explicitly for that
     r = _positive(o, "r", 3, int)
+    points = []
     for param in params:
-        fields = _parse_param_fields(param)
-        if "mu" not in fields:
-            raise ConfigError(f"exp-coherence point {param!r} needs mu=...")
-        _check_mu(f"exp-coherence point {param!r}", fields["mu"], n_list, r)
-    m_rule = _m_rule(o, "10", n_list, extra={"r": r})
-    sb_rule = _rule(o, "sigma_b", "2 * n**(-0.25) * log(n)**0.25", n_list, extra={"r": r})
-    eig_rule = o.get("eigenvalues", "3*sqrt(n) + (r - i)*log(n)")
+        what = f"exp-coherence point {param!r}"
+        fields = _point_fields(what, param, ("mu",), ("screen",))
+        screen = _parse_bool(f"{what}: screen", fields.get("screen", "on"))
+        points.append((param, _mu_rule(what, fields["mu"], n_list, r), screen))
+    sizes = _m_rule(o, "10", n_list, r=r)
+    sb_expr = o.get("sigma_b", "2 * n**(-0.25) * log(n)**0.25")
+    sigma_b = _rule_at(f"rule sigma_b = {sb_expr!r}", sb_expr, n_list, True, r=r)
+    eigenvalues = _eigenvalues(o, n_list, r)
     noise = _noise_from(o, "gaussian-iid")
     c_screen = _positive(o, "c_screen", spectral.C_SCREEN, float)
 
-    def cell(n, param, data_rng, mrngs, timing):
-        fields = _parse_param_fields(param)
-        mu = eval_rule(fields["mu"], n=n, r=r)
-        screen = _parse_bool(fields.get("screen", "on"))
-        m = int(round(eval_rule(m_rule, n=n, r=r)))
-        sigma_b = eval_rule(sb_rule, n=n, r=r)
-        basis, vals = _planted_truth(n, r, mu, eig_rule, data_rng)
+    def cell(n, point, data_rng, mrngs, timing):
+        param, mus, screen = point
+        m = sizes[n]
+        basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
         pool = None
         if screen:
             norms = np.linalg.norm(basis, axis=1)
             quiet = np.flatnonzero(norms <= c_screen * n ** -0.25)
             if quiet.size > m:
                 pool = quiet
-        b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng, support_pool=pool)
-        gt = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=[(b, truth_sup)])
+        b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng, support_pool=pool)
+        gt = model.GroundTruth(basis=basis, eigenvalues=eigenvalues[n],
+                               perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
         resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen if screen else None)
-        return _support_fnr(methods, resids, tau, m, truth_sup, kept, mrngs, opts, timing)
+        return _support_fnr(methods, param, resids, tau, m, truth_sup, kept, mrngs, opts, timing)
 
-    return _Plan(n_list, trials, methods, params, cell)
+    return _Plan(n_list, trials, methods, params, tuple(points), cell)
 
 
-def _refine_errors(methods, r, basis, vals, noise, data_rng, timing):
-    """One trial's linf error per refinement estimator from four noisy copies
-    of the planted matrix; mhat1 splices the means of copies 0, 2 and 1, 3,
-    mhat2 splices copies 0 and 1 and whitens with 2 and 3."""
+def _refine_errors(methods, param, r, basis, vals, noise, data_rng, timing):
+    """One trial's linf error per refinement estimator, keyed by (method,
+    param), from four noisy copies of the planted matrix; mhat1 splices the
+    means of copies 0, 2 and 1, 3, mhat2 splices copies 0 and 1 and whitens
+    with 2 and 3."""
     mstar = model.GroundTruth(basis=basis, eigenvalues=vals).shared_matrix()
     copies = [mstar + model.sample_noise(basis.shape[0], noise, data_rng) for _ in range(4)]
-    rows = []
+    out = {}
     for meth in methods:
         def run(meth=meth):
             if meth == "mhat1":
@@ -659,8 +649,8 @@ def _refine_errors(methods, r, basis, vals, noise, data_rng, timing):
             ((_, est, _),) = refine.estimate((meth,), r, copies, *layout)
             return None if est is None else refine.entry_error(est, mstar)
         value, ms = _timed(run, timing)
-        rows.append((meth, math.nan if value is None else value, ms, value is not None))
-    return rows
+        out[meth, param] = (math.nan if value is None else value, ms, value is not None)
+    return out
 
 
 def _build_refine(cfg):
@@ -676,21 +666,21 @@ def _build_refine(cfg):
     o = cfg.options
     r = _positive(o, "r", 3, int)
     noise = _noise_from(o, "gaussian-iid")
+    points = []
     for param in params:
-        fields = _parse_param_fields(param)
-        if "mu" not in fields or "lmin" not in fields:
-            raise ConfigError(f"exp-refine point {param!r} needs mu=...|lmin=...")
-        _check_mu(f"exp-refine point {param!r}", fields["mu"], n_list, r)
+        what = f"exp-refine point {param!r}"
+        fields = _point_fields(what, param, ("mu", "lmin"))
+        lmin = _rule_at(what, fields["lmin"], n_list, r=r)
+        points.append((param, _mu_rule(what, fields["mu"], n_list, r), {
+            n: np.array([lmin[n] * math.sqrt(n) + (r - i) * math.log(n) for i in range(1, r + 1)])
+            for n in n_list}))
 
-    def cell(n, param, data_rng, mrngs, timing):
-        fields = _parse_param_fields(param)
-        mu = eval_rule(fields["mu"], n=n, r=r)
-        lmin = eval_rule(fields["lmin"], n=n, r=r) * math.sqrt(n)
-        vals = np.array([lmin + (r - i) * math.log(n) for i in range(1, r + 1)])
-        basis = model.sample_incoherent_basis(n, r, mu, data_rng)
-        return _refine_errors(methods, r, basis, vals, noise, data_rng, timing)
+    def cell(n, point, data_rng, mrngs, timing):
+        param, mus, vals = point
+        basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
+        return _refine_errors(methods, param, r, basis, vals[n], noise, data_rng, timing)
 
-    return _Plan(n_list, trials, methods, params, cell)
+    return _Plan(n_list, trials, methods, params, tuple(points), cell)
 
 
 def _build_eigengap(cfg):
@@ -701,25 +691,27 @@ def _build_eigengap(cfg):
     params = cfg.params or ("1", "n**(1/6)", "n**(1/3)")
     o = cfg.options
     r = 3
-    mu_rule = _check_mu("exp-eigengap mu", o.get("mu", "sqrt(n)*log(n)"), n_list, r)
+    mus = _mu_rule("exp-eigengap mu", o.get("mu", "sqrt(n)*log(n)"), n_list, r)
     noise = _noise_from(o, "gaussian-iid")
 
-    def cell(n, param, data_rng, mrngs, timing):
-        ratio = eval_rule(str(param), n=n, r=r)
-        mu = eval_rule(mu_rule, n=n, r=r)
-        dmin = math.log(n)
-        lam3 = 3.0 * math.sqrt(n)
-        lam2 = lam3 + dmin
-        lam1 = lam2 + ratio * dmin
-        basis = model.sample_incoherent_basis(n, r, mu, data_rng)
-        return _refine_errors(methods, r, basis, np.array([lam1, lam2, lam3]), noise,
-                              data_rng, timing)
+    def eigenvalues(n, ratio):  # gaps log(n) and ratio * log(n) above 3 sqrt(n)
+        lam2 = 3.0 * math.sqrt(n) + math.log(n)
+        return np.array([lam2 + ratio * math.log(n), lam2, 3.0 * math.sqrt(n)])
 
-    return _Plan(n_list, trials, methods, params, cell)
+    points = tuple((param, {n: eigenvalues(n, ratio) for n, ratio in _rule_at(
+        f"exp-eigengap point {param!r}", param, n_list, r=r).items()}) for param in params)
+
+    def cell(n, point, data_rng, mrngs, timing):
+        param, vals = point
+        basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
+        return _refine_errors(methods, param, r, basis, vals[n], noise, data_rng, timing)
+
+    return _Plan(n_list, trials, methods, params, points, cell)
 
 
 def _build_path(cfg):
-    """Group-lasso activation path on a planted perturbation plus noise."""
+    """Group-lasso activation path on a planted perturbation plus noise; one
+    point draws the whole path, whose grid labels t00, t01, ... are params."""
     n_list = cfg.n_list or (300,)
     trials = cfg.trials or 20
     methods = _check_methods(cfg, ("active-count", "penalty"), ("active-count", "penalty"))
@@ -727,28 +719,31 @@ def _build_path(cfg):
     # the path reads only the group-lasso settings, and draws 60 points unless told
     opts = solver_settings({"gl_grid": 60} | {k: o[k] for k in o if k in (
         "gl_grid", "lambda_floor", "gl_rho", "gl_tol", "gl_max_iter")})
-    params = cfg.params or tuple(f"t{t:02d}" for t in range(opts.gl_grid))
-    m_rule = _m_rule(o, "5", n_list)
-    sb_rule = _rule(o, "sigma_b", "1.9 * n**(-0.25) * log(n)**0.25", n_list)
+    labels = tuple(f"t{t:02d}" for t in range(opts.gl_grid))
+    params = cfg.params or labels
+    for param in params:
+        if param not in labels:
+            raise ConfigError(f"exp-path point {param!r} is not a label of its "
+                              f"{opts.gl_grid}-point grid ({labels[0]}..{labels[-1]})")
+    sizes = _m_rule(o, "5", n_list)
+    sb_expr = o.get("sigma_b", "1.9 * n**(-0.25) * log(n)**0.25")
+    sigma_b = _rule_at(f"rule sigma_b = {sb_expr!r}", sb_expr, n_list, True)
     noise = _noise_from(o, "gaussian-iid")
 
-    def cell(n, data_rng, mrngs, timing):
-        m = int(round(eval_rule(m_rule, n=n)))
-        sigma_b = eval_rule(sb_rule, n=n)
-        b, _ = model.sample_node_sparse(n, m, sigma_b, data_rng)
+    def cell(n, point, data_rng, mrngs, timing):
+        b, _ = model.sample_node_sparse(n, sizes[n], sigma_b[n], data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
         grid = support.lambda_grid(y, opts.gl_grid, opts.lambda_floor)
         path, ms = _timed(lambda: support.group_lasso_path(y, grid, opts), timing)
         per_point = ms / max(grid.size, 1)
-        rows = []
-        for t in range(grid.size):
-            label = f"t{t:02d}"
-            rows.append(("active-count", label, float((path.alphas[t] > 0).sum()),
-                         per_point, bool(path.converged[t])))
-            rows.append(("penalty", label, float(grid[t]), 0.0, True))
-        return rows
+        out = {}
+        for t, label in enumerate(labels[:grid.size]):
+            out["active-count", label] = (float((path.alphas[t] > 0).sum()), per_point,
+                                          bool(path.converged[t]))
+            out["penalty", label] = (float(grid[t]), 0.0, True)
+        return out
 
-    return _Plan(n_list, trials, methods, params, cell, per_trial=True)
+    return _Plan(n_list, trials, methods, params, (None,), cell)
 
 
 PRESETS = {
@@ -781,8 +776,8 @@ class _ReadLog(UserDict):
 
 
 def build_plan(cfg):
-    """The preset's plan for cfg; an option key that the preset never reads
-    is a ConfigError."""
+    """The preset's plan for cfg; an option key that the preset never reads,
+    or a method or param point given twice, is a ConfigError."""
     if cfg.preset not in PRESETS:
         raise ConfigError(
             f"unknown preset {cfg.preset!r}; available: {', '.join(preset_names())}")
@@ -793,4 +788,8 @@ def build_plan(cfg):
         raise ConfigError(f"preset {cfg.preset!r} does not read {', '.join(unread)}")
     if plan.trials < 1:
         raise ConfigError("trials must be >= 1")
+    for what, items in (("method", plan.methods), ("point", plan.params)):
+        repeated = [x for i, x in enumerate(items) if x in items[:i]]
+        if repeated:
+            raise ConfigError(f"{cfg.preset}: {what} {repeated[0]!r} is given twice")
     return plan

@@ -20,20 +20,9 @@ def write_matrix(path, mat):
         np.savetxt(fh, mat, fmt="%.17g")
 
 
-def read_matrix(path, require_symmetric=True):
-    """Read a matrix written by write_matrix.
-
-    Parameters
-    ----------
-    path : str or Path
-    require_symmetric : bool
-        When True (default), reject matrices whose max |A - A.T| entry
-        exceeds 1e-9.  NaN and infinite entries are always rejected.
-
-    Returns
-    -------
-    (n, n) ndarray
-    """
+def read_matrix(path):
+    """Read a matrix written by write_matrix as an (n, n) ndarray; NaN or
+    infinite entries, and a max |A - A.T| entry above 1e-9, are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         try:
@@ -47,8 +36,7 @@ def read_matrix(path, require_symmetric=True):
         raise ValueError(f"{path}: expected a {n}x{n} matrix, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{path}: matrix has NaN or infinite entries")
-    if require_symmetric:
-        dev = float(np.max(np.abs(mat - mat.T)))
-        if dev > SYMMETRY_ATOL:
-            raise ValueError(f"{path}: matrix is asymmetric (max deviation {dev:.3g})")
+    dev = float(np.max(np.abs(mat - mat.T)))
+    if dev > SYMMETRY_ATOL:
+        raise ValueError(f"{path}: matrix is asymmetric (max deviation {dev:.3g})")
     return mat

@@ -150,6 +150,19 @@ def test_recover_bad_settings_exit_one(dataset, tmp_path, capsys, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--r", "0"], ["--g0", "0"], ["--mu", "0.5"], ["--m", "0"], ["--n", "5"],
+    ["--sigma", "-1"], ["--sigma-b", "-1"],
+])
+def test_generate_bad_input_exit_one(tmp_path, capsys, flags):
+    # the samplers' and NoiseSpec's checks are usage errors; nothing is written
+    out = tmp_path / "out"
+    rc = main(["generate", "--n", "40", "--out-dir", str(out), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_recover_m_auto(dataset, tmp_path):
     meta = load_meta(dataset)
     out = tmp_path / "auto.json"

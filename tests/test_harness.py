@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netcontrast import model
 from netcontrast.harness import (
     _RULE_NAMES,
     ConfigError,
@@ -349,14 +350,20 @@ def test_refine_preset_smoke():
 
 
 def test_refine_preset_csv_bytes_identical_across_thread_counts(tmp_path):
-    cfg = config_from_mapping({"preset": "exp-refine", "n": "120", "trials": "2",
-                               "seed": "4", "params": "mu=sqrt(n)|lmin=2.05,mu=log(n)|lmin=3"})
-    paths = []
-    for threads in (1, 2):
-        paths.append(tmp_path / f"refine{threads}.csv")
-        write_results(run_experiment(cfg, threads=threads), paths[-1])
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert "nan" not in paths[0].read_text()
+    # exp-path draws its whole path in one seeded task at each n
+    for k, mapping in enumerate([
+        {"preset": "exp-refine", "n": "120", "params": "mu=sqrt(n)|lmin=2.05,mu=log(n)|lmin=3"},
+        {"preset": "exp-path", "n": "60,80", "gl_grid": "9"},
+        {"preset": "exp-coherence", "n": "80",
+         "params": "mu=log(n)|screen=on,mu=sqrt(n/log(n))|screen=off"},
+    ]):
+        cfg = config_from_mapping({"trials": "2", "seed": "4", **mapping})
+        paths = []
+        for threads in (1, 2):
+            paths.append(tmp_path / f"rows{k}_{threads}.csv")
+            write_results(run_experiment(cfg, threads=threads), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes(), mapping["preset"]
+        assert "nan" not in paths[0].read_text(), mapping["preset"]
 
 
 def test_refine_preset_points_respect_sampler_cap():
@@ -393,14 +400,35 @@ def test_refine_preset_points_respect_sampler_cap():
     ({"preset": "exp-snr", "r": "two"}, "r = 'two' is not an integer"),
     ({"preset": "exp-coherence", "r": "two"}, "r = 'two' is not an integer"),
     ({"preset": "exp-refine", "r": "two"}, "r = 'two' is not an integer"),
+    ({"preset": "exp-snr", "params": "abc"}, "exp-snr point C = 'abc' is not a number"),
+    ({"preset": "exp-snr", "params": "-1.0"},
+     r"exp-snr point '-1\.0': rule sigma_b = .* is not finite and > 0 at n=60"),
+    ({"preset": "exp-multicopy", "params": "-2"}, "exp-multicopy point '-2': rule sigma_b"),
+    ({"preset": "exp-snr", "eigenvalues": "two"}, "rule eigenvalues = 'two'"),
+    ({"preset": "exp-eigengap", "n": "300", "params": "abc"}, "exp-eigengap point 'abc'"),
+    ({"preset": "exp-coherence", "params": "mu=1|screen=maybe"},
+     r"point 'mu=1\|screen=maybe': screen expects a boolean, got 'maybe'"),
+    ({"preset": "exp-coherence", "params": "mu=1|scren=off"},
+     r"point 'mu=1\|scren=off': field 'scren=off' is malformed, unknown or repeated"),
+    ({"preset": "exp-refine", "params": "mu=2|lmin=abc"},
+     r"point 'mu=2\|lmin=abc': cannot evaluate rule 'abc'"),
+    ({"preset": "exp-path", "params": "foo"}, "exp-path point 'foo' is not a label"),
+    ({"preset": "exp-snr", "params": "2.0,2.0"}, r"exp-snr: point '2\.0' is given twice"),
+    ({"preset": "exp-snr", "methods": "sdp,sdp"}, "exp-snr: method 'sdp' is given twice"),
 ], ids=["exp-glfail", "exp-coherence", "exp-eigengap", "exp-snr-m", "exp-snr-m-rounds-to-0",
         "exp-snr-m-inf", "exp-multicopy-m", "exp-heavytail-m", "exp-coherence-m",
         "exp-path-m", "exp-snr-c_screen-0", "exp-snr-c_screen-abc", "exp-coherence-c_screen-inf",
-        "exp-snr-r-0", "exp-snr-r-two", "exp-coherence-r-two", "exp-refine-r-two"])
+        "exp-snr-r-0", "exp-snr-r-two", "exp-coherence-r-two", "exp-refine-r-two",
+        "exp-snr-C-abc", "exp-snr-C-negative", "exp-multicopy-C-negative",
+        "exp-snr-eigenvalues-two", "exp-eigengap-ratio-abc", "exp-coherence-screen-maybe",
+        "exp-coherence-field-typo", "exp-refine-lmin-abc", "exp-path-label",
+        "repeated-point", "repeated-method"])
 def test_presets_reject_points_the_samplers_reject(over, match):
     # at n = 60 the decoy construction is too small, and mu = sqrt(n)*log(n)
     # (an exp-coherence point and the exp-eigengap default) exceeds n/r = 20;
-    # the samplers need a support size 1 <= m < n
+    # the samplers need a support size 1 <= m < n.  Every point is converted
+    # when the plan is built, so a point that does not convert fails there
+    # too, and rows need each (method, param) pair once
     with pytest.raises(ConfigError, match=match):
         build_plan(config_from_mapping({"n": "60", **over}))
 
@@ -414,6 +442,25 @@ def test_presets_reject_points_the_samplers_reject(over, match):
 def test_presets_reject_keys_they_never_read(over, unread):
     with pytest.raises(ConfigError, match=f"does not read {unread}$"):
         build_plan(config_from_mapping(over))
+
+
+@pytest.mark.parametrize("mapping", [
+    {"preset": "exp-snr", "params": "1.6,2.4", "methods": "hard,glasso"},
+    {"preset": "exp-path", "gl_grid": "4"},
+], ids=["exp-snr", "exp-path"])
+def test_a_failing_cell_gives_one_nan_row_per_param_and_method(tmp_path, monkeypatch, mapping):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no noise")
+
+    monkeypatch.setattr(model, "sample_noise", fail)
+    cfg = config_from_mapping({"n": "60", "trials": "1", **mapping})
+    plan = build_plan(cfg)
+    out = tmp_path / "rows.csv"
+    write_results(run_experiment(cfg), out)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1:3] for row in rows] == [[meth, param] for param in plan.params
+                                          for meth in plan.methods]
+    assert all(row[3:] == ["0", "nan", "0.000", "0"] for row in rows)
 
 
 def test_multicopy_preset_row_count():

@@ -23,7 +23,6 @@ def test_rejects_asymmetric(tmp_path):
     write_matrix(path, m)
     with pytest.raises(ValueError, match="asymmetric"):
         read_matrix(path)
-    assert np.array_equal(read_matrix(path, require_symmetric=False), m)
 
 
 def test_rejects_non_square():
@@ -48,5 +47,3 @@ def test_rejects_non_finite(tmp_path, bad):
     path.write_text(f"2\n1 {bad}\n{bad} 1\n")
     with pytest.raises(ValueError, match="m.txt.*infinite"):
         read_matrix(path)
-    with pytest.raises(ValueError, match="infinite"):
-        read_matrix(path, require_symmetric=False)
