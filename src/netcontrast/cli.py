@@ -32,9 +32,9 @@ def _add_solver_flags(p):
     unset = argparse.SUPPRESS
     p.add_argument("--sdp-rank", type=int, default=unset, help="factor width of the SDP solver")
     p.add_argument("--sdp-restarts", type=int, default=unset, help="most SDP runs, until one is certified")
-    p.add_argument("--gl-rho", type=float, default=unset, help="ADMM penalty parameter")
-    p.add_argument("--gl-tol", type=float, default=unset, help="ADMM stopping tolerance (default 1e-6*||Y||_F)")
-    p.add_argument("--gl-max-iter", type=int, default=unset, help="ADMM iteration cap")
+    p.add_argument("--gl-tol", type=float, default=unset,
+                   help="group-lasso bound on the iterate change (default 1e-7*||Y||_F)")
+    p.add_argument("--gl-max-iter", type=int, default=unset, help="group-lasso iteration cap")
     p.add_argument("--gl-grid", type=int, default=unset, help="penalty-path grid size")
     p.add_argument("--seed", type=int, default=0, help="solver RNG seed")
 

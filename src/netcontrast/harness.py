@@ -94,7 +94,7 @@ _CONFIG_KEYS = {
     "noise", "sigma", "sigma_min", "sigma_max", "truncation",
     "c_screen",
     "sdp_rank", "sdp_restarts", "sdp_max_inner",
-    "gl_rho", "gl_tol", "gl_max_iter", "gl_grid", "lambda_floor",
+    "gl_tol", "gl_max_iter", "gl_grid", "lambda_floor",
 }
 
 
@@ -292,6 +292,8 @@ def run_experiment(cfg, threads=1):
     Per-trial failures are logged and recorded as nan rows with a cleared
     convergence flag; they never abort the sweep.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     plan = build_plan(cfg)
     tasks = [(ni, pj, t)
              for ni in range(len(plan.n_list))
@@ -399,6 +401,12 @@ def _support_fnr(methods, param, resids, tau, m, truth, kept, mrngs, opts, timin
     return out
 
 
+def _sizes(cfg, n_list, trials):
+    """cfg's n list and trial count, else the preset's defaults."""
+    return (n_list if cfg.n_list is None else cfg.n_list,
+            trials if cfg.trials is None else cfg.trials)
+
+
 def _check_methods(cfg, allowed, default):
     methods = cfg.methods or default
     bad = [m for m in methods if m not in allowed]
@@ -488,8 +496,7 @@ def _point_fields(what, param, required, optional=()):
 
 def _build_snr(cfg):
     """Planted-model FNR sweep over the perturbation scale coefficient C."""
-    n_list = cfg.n_list or (300,)
-    trials = cfg.trials or 20
+    n_list, trials = _sizes(cfg, (300,), 20)
     methods = _check_methods(cfg, _ONE_COPY, ("sdp", "glasso"))
     params = cfg.params or ("0.8", "1.2", "1.6", "2.0", "2.4")
     o = cfg.options
@@ -518,11 +525,10 @@ def _build_snr(cfg):
 
 def _build_glfail(cfg):
     """Decoy construction: planted rows plus decoy rows with larger energy."""
-    n_list = cfg.n_list or (200,)
+    n_list, trials = _sizes(cfg, (200,), 50)
     if min(n_list) < 100:
         raise ConfigError(f"{cfg.preset}: the decoy construction needs n >= 100, "
                           f"got n={min(n_list)}")
-    trials = cfg.trials or 50
     methods = _check_methods(cfg, _ONE_COPY_NO_TAU, ("sdp", "glasso", "hard"))
     params = cfg.params or ("decoy",)
     o = cfg.options
@@ -540,8 +546,7 @@ def _build_glfail(cfg):
 
 def _build_multicopy(cfg):
     """Product cost from two copies vs squared averaged copy, row-hetero noise."""
-    n_list = cfg.n_list or (400,)
-    trials = cfg.trials or 20
+    n_list, trials = _sizes(cfg, (400,), 20)
     methods = _check_methods(cfg, _TWO_COPIES_NO_TAU, ("sdp-multi", "sdp"))
     params = cfg.params or ("3.2",)
     o = cfg.options
@@ -564,8 +569,7 @@ def _build_multicopy(cfg):
 
 def _build_heavytail(cfg):
     """Truncated vs vanilla cost under scaled Student-t(4) noise."""
-    n_list = cfg.n_list or (400,)
-    trials = cfg.trials or 20
+    n_list, trials = _sizes(cfg, (400,), 20)
     methods = _check_methods(cfg, _ONE_COPY, ("sdp-trunc", "sdp"))
     params = cfg.params or ("2.0",)
     o = cfg.options
@@ -587,8 +591,7 @@ def _build_heavytail(cfg):
 
 def _build_coherence(cfg):
     """Screening on/off across eigenvector coherence levels."""
-    n_list = cfg.n_list or (500,)
-    trials = cfg.trials or 20
+    n_list, trials = _sizes(cfg, (500,), 20)
     methods = _check_methods(cfg, _ONE_COPY, ("sdp",))
     mu_exprs = ("log(n)", "sqrt(n/log(n))", "sqrt(n)*log(n)", "n**0.75")
     params = cfg.params or tuple(
@@ -656,8 +659,7 @@ def _refine_errors(methods, param, r, basis, vals, noise, data_rng, timing):
 def _build_refine(cfg):
     """Refinement-estimator errors across coherence and signal-strength points."""
     # n = 800 is the smallest round size at which mu = n^(5/6) <= n/r
-    n_list = cfg.n_list or (800,)
-    trials = cfg.trials or 20
+    n_list, trials = _sizes(cfg, (800,), 20)
     methods = _check_methods(cfg, refine.ESTIMATORS, refine.ESTIMATORS)
     params = cfg.params or (
         "mu=n**0.8|lmin=2.05", "mu=n**(5/6)|lmin=2.05",
@@ -685,8 +687,7 @@ def _build_refine(cfg):
 
 def _build_eigengap(cfg):
     """Corrected-estimator error as the eigengap ratio grows."""
-    n_list = cfg.n_list or (400,)
-    trials = cfg.trials or 30
+    n_list, trials = _sizes(cfg, (400,), 30)
     methods = _check_methods(cfg, refine.ESTIMATORS, ("mhat2",))
     params = cfg.params or ("1", "n**(1/6)", "n**(1/3)")
     o = cfg.options
@@ -712,13 +713,12 @@ def _build_eigengap(cfg):
 def _build_path(cfg):
     """Group-lasso activation path on a planted perturbation plus noise; one
     point draws the whole path, whose grid labels t00, t01, ... are params."""
-    n_list = cfg.n_list or (300,)
-    trials = cfg.trials or 20
+    n_list, trials = _sizes(cfg, (300,), 20)
     methods = _check_methods(cfg, ("active-count", "penalty"), ("active-count", "penalty"))
     o = cfg.options
     # the path reads only the group-lasso settings, and draws 60 points unless told
     opts = solver_settings({"gl_grid": 60} | {k: o[k] for k in o if k in (
-        "gl_grid", "lambda_floor", "gl_rho", "gl_tol", "gl_max_iter")})
+        "gl_grid", "lambda_floor", "gl_tol", "gl_max_iter")})
     labels = tuple(f"t{t:02d}" for t in range(opts.gl_grid))
     params = cfg.params or labels
     for param in params:
@@ -749,7 +749,6 @@ def _build_path(cfg):
 PRESETS = {
     "exp-snr": _build_snr,
     "exp-glfail": _build_glfail,
-    "table-exp2": _build_glfail,
     "exp-multicopy": _build_multicopy,
     "exp-heavytail": _build_heavytail,
     "exp-coherence": _build_coherence,
@@ -781,6 +780,8 @@ def build_plan(cfg):
     if cfg.preset not in PRESETS:
         raise ConfigError(
             f"unknown preset {cfg.preset!r}; available: {', '.join(preset_names())}")
+    if cfg.n_list is not None and not cfg.n_list:
+        raise ConfigError("n list is empty")
     options = _ReadLog(cfg.options)
     plan = PRESETS[cfg.preset](replace(cfg, options=options))
     unread = sorted(options.keys() - options.read)

@@ -1,11 +1,11 @@
 """Stage two: node-support recovery from residual matrices.
 
 Four estimators over a common interface — a semidefinite relaxation solved in
-factored form, a node-wise group lasso solved by ADMM, a row-energy hard
-threshold, and an exhaustive least-squares search for tiny problems — plus
-cost construction for one or many residual copies, automatic support-size
-selection, the false-negative-rate metric, and `recover`, the dispatch from a
-method name in METHODS to a support in original node numbering.
+factored form, a node-wise group lasso solved by working-set FISTA, a
+row-energy hard threshold, and an exhaustive least-squares search for tiny
+problems — plus cost construction for one or many residual copies, automatic
+support-size selection, the false-negative-rate metric, and `recover`, the
+dispatch from a method name in METHODS to a support in original node numbering.
 
 The SDP minimizes <C, Z> over Z >= 0 with tr Z = K and <J, Z> = K^2
 (K = n - m); its optimum is the rank-one indicator of the complement of the
@@ -78,15 +78,14 @@ class SolverOptions:
     sdp_max_inner: int = 300    # descent iterations per restart
     gl_grid: int = 40           # penalty-path grid size
     lambda_floor: float = 0.85  # grid floor, as a fraction of the least row norm
-    gl_rho: float = 1.0         # ADMM penalty parameter
-    gl_tol: float | None = None  # ADMM stopping tolerance; None is 1e-6 * ||Y||_F
-    gl_max_iter: int = 5000     # ADMM iteration cap
+    gl_tol: float | None = None  # group-lasso bound on |V_{k+1} - V_k|_F; None is 1e-7 * ||Y||_F
+    gl_max_iter: int = 5000     # group-lasso iteration cap
 
     def __post_init__(self):
         for name in ("sdp_rank", "sdp_restarts", "sdp_max_inner", "gl_grid", "gl_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lambda_floor", "gl_rho", "gl_tol"):
+        for name in ("lambda_floor", "gl_tol"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
@@ -406,75 +405,82 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# group lasso (ADMM)
+# group lasso (working-set FISTA)
 
 @dataclass
 class GroupLassoResult:
     factor: np.ndarray          # row-sparse V with B = V + V^T
-    dual: np.ndarray            # scaled ADMM dual, kept for warm starts
     alpha: np.ndarray           # row l2 norms of V
+    grad_norms: np.ndarray      # row l2 norms of the gradient V + V^T - Y
     iterations: int
     converged: bool
 
 
 def group_lasso(residual, lam, opts=None, init=None):
-    """Row-sparse symmetric fit by ADMM.
+    """Row-sparse symmetric fit by working-set FISTA.
 
-    Solves min_V  1/4 ||V + V^T - Y||_F^2 + lam * sum_i ||v_i||_2
-    with the three-step scheme: closed-form V update, row-wise soft threshold
-    of V + U at lam/rho, dual ascent U += V - Z, with rho = opts.gl_rho.
-    Stops when the primal ||V - Z||_F and dual rho*||Z_t - Z_{t-1}||_F
-    residuals both fall below opts.gl_tol (None: 1e-6 * ||Y||_F), or after
-    opts.gl_max_iter iterations.  The thresholded iterate Z — which carries
-    exact zero rows — is returned as the solution.
+    Solves min_V  1/4 ||V + V^T - Y||_F^2 + lam * sum_i ||v_i||_2 (Y taken
+    by its symmetric part) by FISTA (step 1/2, row soft threshold at lam/2,
+    gradient restart) on the rows of a working set A, the rest held at zero.
+    A starts from init's nonzero rows and the strong-rule survivors
+    |R_i(lam_prev)| >= 2 lam - lam_prev of the gradient R = V + V^T - Y;
+    held rows that fail |R_i| <= lam after a solve join A for another, so
+    the result is the exact optimum.  A solve stops at |V_{k+1} - V_k|_F <=
+    opts.gl_tol (None: 1e-7 * ||Y||_F); converged is False when
+    opts.gl_max_iter, the cap on the iterations of all solves, binds.
 
-    init, when given, is the (factor, dual) pair of a previous result.
+    init is (factor, lam_prev, grad_norms) of a result at a larger penalty;
+    the default is V = 0, the solution at lam_prev = max_i ||Y_i||.
     """
     y = np.asarray(residual, dtype=float)
     if lam < 0:
         raise ValueError("need lam >= 0")
     opts = opts or SolverOptions()
-    rho, tol, max_iter = opts.gl_rho, opts.gl_tol, opts.gl_max_iter
-    tol_abs = 1e-6 * float(np.linalg.norm(y)) if tol is None else float(tol)
-    if init is None:
-        z = np.zeros_like(y)
-        u = np.zeros_like(y)
-    else:
-        z, u = (np.array(a, dtype=float) for a in init)
-    q = lam / rho
+    if not np.array_equal(y, y.T):
+        y = 0.5 * (y + y.T)
     nt = y.shape[0]
-    converged = False
-    for it in range(1, max_iter + 1):
-        d = z - u
-        v = (y - d.T + (rho + 1.0) * d) / (rho + 2.0)
-        a = v + u
-        if lam == 0.0:
-            z_new = a.copy()
-        else:
-            norms = np.linalg.norm(a, axis=1)
-            shrink = np.zeros(nt)
-            nz = norms > 0
-            shrink[nz] = np.maximum(0.0, 1.0 - q / norms[nz])
-            z_new = a * shrink[:, None]
-        u = u + v - z_new
-        primal = float(np.linalg.norm(v - z_new))
-        dual = rho * float(np.linalg.norm(z_new - z))
-        z = z_new
-        if primal <= tol_abs and dual <= tol_abs:
-            converged = True
+    y2 = np.einsum("ij,ij->i", y, y)
+    tol = 1e-7 * math.sqrt(float(y2.sum())) if opts.gl_tol is None else opts.gl_tol
+    factor, lam_prev, grad_prev = init or (np.zeros((nt, nt)), math.sqrt(y2.max()), np.sqrt(y2))
+    work = factor.any(axis=1) | (grad_prev >= 2.0 * lam - lam_prev)
+    rows = np.flatnonzero(work)
+    x = factor[rows]
+    its = 0
+    while True:
+        ya = y[rows]
+        z, t, done = x, 1.0, False
+        while not done and its < opts.gl_max_iter:
+            its += 1
+            w = 0.5 * (z + ya)
+            w[:, rows] -= 0.5 * z[:, rows].T
+            norms = np.linalg.norm(w, axis=1)
+            shrink = np.maximum(norms - 0.5 * lam, 0.0) / np.where(norms > 0, norms, 1.0)
+            x_new = w * shrink[:, None]
+            dx = x_new - x
+            done = float(np.linalg.norm(dx)) <= tol
+            if float(np.vdot(z - x_new, dx)) > 0:
+                t = 1.0
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            z, t, x = x_new + ((t - 1.0) / t_new) * dx, t_new, x_new
+        # |R_i|^2 of a row i held at zero is |Y_i|^2 - |Y_i[A]|^2 + |V[A, i] - Y_i[A]|^2
+        d = x - ya
+        grad2 = np.maximum(y2 - np.einsum("ij,ij->j", ya, ya), 0.0) + np.einsum("ij,ij->j", d, d)
+        d[:, rows] += x[:, rows].T
+        grad2[rows] = np.einsum("ij,ij->i", d, d)
+        fail = np.flatnonzero((grad2 > lam * lam) & ~work)
+        if not done or not fail.size:
             break
-    if not converged:
-        logger.warning(
-            "group lasso stopped at gl_max_iter = %d (primal %.3g, dual %.3g, tol %.3g)",
-            max_iter, primal, dual, tol_abs,
-        )
-    return GroupLassoResult(
-        factor=z,
-        dual=u,
-        alpha=np.linalg.norm(z, axis=1),
-        iterations=it,
-        converged=converged,
-    )
+        work[fail] = True
+        rows = np.concatenate([rows, fail])
+        x = np.vstack([x, np.zeros((fail.size, nt))])
+    if not done:
+        logger.warning("group lasso stopped at gl_max_iter = %d (tol %.3g)", opts.gl_max_iter, tol)
+    v = np.zeros((nt, nt))
+    v[rows] = x
+    alpha = np.zeros(nt)
+    alpha[rows] = np.linalg.norm(x, axis=1)
+    return GroupLassoResult(factor=v, alpha=alpha, grad_norms=np.sqrt(grad2),
+                            iterations=its, converged=done)
 
 
 def lambda_grid(residual, num=SolverOptions.gl_grid, floor_ratio=SolverOptions.lambda_floor):
@@ -496,29 +502,23 @@ class GroupLassoPath:
 
 
 def group_lasso_path(residual, grid, opts=None):
-    """Warm-started ADMM down a strictly descending positive penalty grid;
-    opts is the SolverOptions of every group_lasso call."""
+    """Warm-started group lasso down a strictly descending positive penalty
+    grid; opts is the SolverOptions of every group_lasso call."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("grid must be positive")
     if grid.size > 1 and np.any(np.diff(grid) >= 0):
         raise ValueError("grid must be strictly descending")
-    y = np.asarray(residual, dtype=float)
-    nt = y.shape[0]
-    alphas = np.zeros((grid.size, nt))
+    alphas = np.zeros((grid.size, len(residual)))
     conv = np.zeros(grid.size, dtype=bool)
     state = None
     for t, lam in enumerate(grid):
-        res = group_lasso(y, lam, opts, init=state)
-        state = (res.factor, res.dual)
+        res = group_lasso(residual, lam, opts, init=state)
+        state = (res.factor, lam, res.grad_norms)
         alphas[t] = res.alpha
         conv[t] = res.converged
-    act_tol = 1e-6 * float(alphas.max()) if alphas.size else 0.0
-    activation = np.full(nt, np.nan)
-    for i in range(nt):
-        hits = np.flatnonzero(alphas[:, i] > act_tol)
-        if hits.size:
-            activation[i] = grid[hits[0]]
+    active = alphas > 1e-6 * float(alphas.max())
+    activation = np.where(active.any(axis=0), grid[active.argmax(axis=0)], np.nan)
     return GroupLassoPath(alphas=alphas, activation_lambda=activation, converged=conv)
 
 
@@ -526,19 +526,16 @@ def group_lasso_support(residual, m, opts=None):
     """Support via the penalty path over lambda_grid(y, opts.gl_grid,
     opts.lambda_floor): descend until at least m rows are active, then take
     the m largest row norms (falls back to the last grid point)."""
-    y = np.asarray(residual, dtype=float)
-    if not 1 <= m < y.shape[0]:
+    if not 1 <= m < len(residual):
         raise ValueError(f"need 1 <= m < n, got m={m}")
     opts = opts or SolverOptions()
     state = None
-    res = None
-    for lam in lambda_grid(y, opts.gl_grid, opts.lambda_floor):
-        res = group_lasso(y, lam, opts, init=state)
-        state = (res.factor, res.dual)
+    for lam in lambda_grid(residual, opts.gl_grid, opts.lambda_floor):
+        res = group_lasso(residual, lam, opts, init=state)
+        state = (res.factor, lam, res.grad_norms)
         if int((res.alpha > 0).sum()) >= m:
             break
-    order = np.argsort(-res.alpha, kind="stable")
-    return np.sort(order[:m])
+    return np.sort(np.argsort(-res.alpha, kind="stable")[:m])
 
 
 # ---------------------------------------------------------------------------

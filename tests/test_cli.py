@@ -129,7 +129,7 @@ def with_small_matrix(flags, tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--sdp-rank", "0"], ["--sdp-rank", "-1"], ["--sdp-restarts", "0"],
-    ["--sdp-feas-tol", "0"], ["--gl-grid", "0"], ["--gl-rho", "0"],
+    ["--sdp-feas-tol", "0"], ["--gl-grid", "0"], ["--gl-tol", "nan"],
     ["--gl-max-iter", "0"], ["--m", "0"], ["--m", "60"],
     ["--mu", "'x'"], ["--mu", "[1]"],
     ["--rank", "-1"], ["--rank", "61"], ["--c-screen", "0"],
@@ -368,6 +368,14 @@ def test_experiment_config_file_and_set(tmp_path, capsys):
     assert runtimes("--timing")[0] > 0
     assert runtimes("--timing", "--set", "timing=0") == [0.0]
     assert runtimes("--set", "timing=1")[0] > 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_experiment_threads_below_one_exit_one(capsys, threads):
+    rc = main(["experiment", "--preset", "exp-snr", "--n", "60", "--trials", "1",
+               "--params", "2", "--methods", "hard", "--threads", threads])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: threads must be >= 1")
 
 
 def test_experiment_bad_config_path():

@@ -180,6 +180,19 @@ def test_build_plan_rejects_unknown_preset_and_methods():
         build_plan(small_snr_cfg(methods="sdp,bogus"))
 
 
+# a library config's 0 trials or empty n list is refused, not read as "unset"
+@pytest.mark.parametrize("preset", preset_names())
+def test_build_plan_rejects_zero_trials(preset):
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        build_plan(ExperimentConfig(preset=preset, trials=0))
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_build_plan_rejects_empty_n_list(preset):
+    with pytest.raises(ConfigError, match="n list is empty"):
+        build_plan(ExperimentConfig(preset=preset, n_list=()))
+
+
 def test_threads_is_not_a_config_key(tmp_path):
     with pytest.raises(ConfigError, match="unknown key 'threads'"):
         config_from_mapping({"preset": "exp-snr", "threads": "4"})
@@ -193,8 +206,8 @@ def test_solver_settings_defaults_and_overrides():
     opts = solver_settings({})
     assert opts == SolverOptions()
     assert (opts.sdp_rank, opts.sdp_restarts, opts.sdp_max_inner) == (3, 3, 300)
-    assert (opts.gl_grid, opts.lambda_floor, opts.gl_rho, opts.gl_tol,
-            opts.gl_max_iter) == (40, 0.85, 1.0, None, 5000)
+    assert (opts.gl_grid, opts.lambda_floor, opts.gl_tol,
+            opts.gl_max_iter) == (40, 0.85, None, 5000)
     opts = solver_settings({"sdp_rank": "2", "sdp_restarts": 1, "gl_tol": "1e-5",
                             "gl_grid": "7", "lambda_floor": "0.5", "r": "3"})
     assert opts == SolverOptions(sdp_rank=2, sdp_restarts=1, gl_tol=1e-5, gl_grid=7,
@@ -208,7 +221,7 @@ def test_solver_settings_defaults_and_overrides():
     ("sdp_max_inner", "0"), ("sdp_max_outer", "0"), ("sdp_feas_tol", "0"),
     ("gl_grid", "0"), ("gl_rho", "0"), ("gl_max_iter", "0"), ("sdp_rank", "two"),
     ("gl_tol", "0"), ("gl_tol", "-1"), ("lambda_floor", "0"), ("lambda_floor", "-0.5"),
-    ("truncation", "0"), ("truncation", "-1"), ("gl_rho", "abc"), ("sigma", "abc"),
+    ("truncation", "0"), ("truncation", "-1"), ("gl_tol", "abc"), ("sigma", "abc"),
 ])
 def test_bad_solver_settings_fail_at_plan_build(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -230,10 +243,11 @@ def test_build_plan_rejects_nonpositive_rule():
 
 def test_preset_names_cover_documented_set():
     names = preset_names()
-    for expected in ("exp-snr", "exp-glfail", "table-exp2", "exp-multicopy",
+    for expected in ("exp-snr", "exp-glfail", "exp-multicopy",
                      "exp-heavytail", "exp-coherence", "exp-refine",
                      "exp-eigengap", "exp-path"):
         assert expected in names
+    assert "table-exp2" not in names
 
 
 # ---------------------------------------------------------------------------

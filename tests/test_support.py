@@ -144,7 +144,7 @@ def test_sdp_support_invariant_to_cost_scale():
 
 @pytest.mark.parametrize("field,value", [
     ("sdp_rank", 0), ("sdp_restarts", 0), ("sdp_max_inner", 0), ("gl_grid", 0),
-    ("gl_max_iter", 0), ("lambda_floor", 0.0), ("gl_rho", 0.0), ("gl_tol", 0.0),
+    ("gl_max_iter", 0), ("lambda_floor", 0.0), ("gl_tol", 0.0),
     ("gl_tol", -1.0), ("lambda_floor", math.nan),
 ])
 def test_solver_options_reject_out_of_range_values(field, value):
@@ -494,6 +494,68 @@ def test_group_lasso_kkt_conditions():
             assert np.linalg.norm(grad[i]) <= lam * (1 + 1e-8) + 1e-5 * scale
 
 
+def assert_kkt_on_every_row(y, res, lam, tol):
+    grad = res.factor + res.factor.T - y
+    assert np.allclose(res.grad_norms, np.linalg.norm(grad, axis=1), atol=tol)
+    for i in range(y.shape[0]):
+        if res.alpha[i] > 0:
+            assert np.linalg.norm(grad[i] + lam * res.factor[i] / res.alpha[i]) <= tol
+        else:
+            assert np.linalg.norm(grad[i]) <= lam * (1 + 1e-12)
+
+
+def test_group_lasso_few_active_rows_meet_kkt_on_every_row():
+    resid, _ = planted_residual(80, 4, 2.0, 26, sigma=0.5)
+    norms = np.linalg.norm(resid, axis=1)
+    lam = 0.95 * np.sort(norms)[-4]
+    tol = 1e-8 * np.linalg.norm(resid)
+    res = group_lasso(resid, lam, SolverOptions(gl_tol=1e-3 * tol, gl_max_iter=20000))
+    assert res.converged
+    assert 1 <= int((res.alpha > 0).sum()) <= 4
+    # most rows never enter the working set: the cold-start strong rule drops them
+    discarded = norms < 2 * lam - norms.max()
+    assert discarded.sum() >= 60
+    assert_kkt_on_every_row(resid, res, lam, tol)
+
+
+def test_group_lasso_working_set_grows_past_a_wrong_strong_rule():
+    # a warm start that claims zero gradients keeps no row in the working set;
+    # the optimality check must add every row the solution needs
+    resid, _ = planted_residual(40, 3, 2.0, 27, sigma=0.5)
+    lam = 0.6 * lambda_grid(resid)[0]
+    opts = SolverOptions(gl_tol=1e-12 * np.linalg.norm(resid), gl_max_iter=20000)
+    cold = group_lasso(resid, lam, opts)
+    empty = group_lasso(resid, lam, opts, init=(np.zeros((40, 40)), lam, np.zeros(40)))
+    assert empty.converged and cold.converged
+    assert np.array_equal(empty.alpha > 0, cold.alpha > 0)
+    assert np.allclose(empty.alpha, cold.alpha, atol=1e-8 * np.linalg.norm(resid))
+    assert_kkt_on_every_row(resid, empty, lam, 1e-8 * np.linalg.norm(resid))
+
+
+def test_group_lasso_warm_and_cold_starts_agree():
+    resid, _ = planted_residual(60, 4, 2.0, 28, sigma=0.5)
+    grid = lambda_grid(resid, 12)
+    scale = np.linalg.norm(resid)
+    for lam_prev, lam in zip(grid[2:8], grid[3:9]):
+        prev = group_lasso(resid, lam_prev)
+        warm = group_lasso(resid, lam, init=(prev.factor, lam_prev, prev.grad_norms))
+        cold = group_lasso(resid, lam)
+        assert warm.converged and cold.converged
+        assert np.abs(warm.alpha - cold.alpha).max() <= 1e-5 * scale
+        assert np.array_equal(warm.alpha > 1e-5 * scale, cold.alpha > 1e-5 * scale)
+
+
+def test_group_lasso_solves_an_asymmetric_y_by_its_symmetric_part():
+    y = rng_of(29).standard_normal((20, 20))
+    lam = 0.5 * lambda_grid(y)[0]
+    opts = SolverOptions(gl_tol=1e-10 * np.linalg.norm(y), gl_max_iter=20000)
+    res = group_lasso(y, lam, opts)
+    assert res.converged
+    assert np.allclose(res.factor, group_lasso(0.5 * (y + y.T), lam, opts).factor)
+    ref = fista_oracle(0.5 * (y + y.T), lam)
+    assert glasso_objective(y, res.factor, lam) <= glasso_objective(y, ref, lam) + 1e-8
+
+
 def test_group_lasso_zero_above_lambda_max():
     y = symmetric_noise(15, rng_of(17))
     res = group_lasso(y, lambda_grid(y)[0] * 1.0001)
@@ -521,11 +583,10 @@ def test_group_lasso_validation_and_max_iter_warning(caplog):
     y = symmetric_noise(10, rng_of(20))
     with pytest.raises(ValueError):
         group_lasso(y, -1.0)
-    with pytest.raises(ValueError):
-        group_lasso(y, 1.0, SolverOptions(gl_rho=0.0))
     with caplog.at_level(logging.WARNING, logger="netcontrast.support"):
         res = group_lasso(y, 0.1 * lambda_grid(y)[0], SolverOptions(gl_max_iter=2))
     assert not res.converged
+    assert res.iterations == 2
     assert "max_iter" in caplog.text
 
 
@@ -622,7 +683,7 @@ def test_recover_matches_direct_call_chain(method):
     copies = [b + symmetric_noise(14, rng) for _ in range(2)]
     kept = np.arange(3, 17)  # 14 screened rows of a 20-node graph
     opts = SolverOptions(sdp_restarts=2, sdp_rank=2, gl_grid=12, lambda_floor=0.7,
-                         gl_rho=2.0, gl_max_iter=800)
+                         gl_max_iter=800)
     want = kept[_direct_support(method, copies, 3, 1.5, opts, rng_of(5))]
     got, sol = support.recover(method, copies, 3, tau=1.5, kept=kept, opts=opts,
                                rng=rng_of(5))
