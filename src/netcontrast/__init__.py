@@ -16,7 +16,6 @@ from .model import (
     ObservationSet,
     assemble_observations,
     coherence_of,
-    node_support,
     sample_decoy_perturbation,
     sample_incoherent_basis,
     sample_node_sparse,
@@ -49,7 +48,6 @@ from .support import (
     solve_sdp,
 )
 from .refine import (
-    CorrectionFactor,
     asymmetric_combine,
     asymmetric_eigenpairs,
     debiased_eigenvectors,

@@ -233,7 +233,7 @@ def _cmd_recover(args):
     except ValueError as exc:
         raise ConfigError(f"--method {args.method}: {exc}") from None
     converged = (sol is None or sol.converged) and (sel is None or sel.converged)
-    if sol is not None:
+    if isinstance(sol, support.SdpSolution):
         record["sdp"] = {"objective": sol.objective,
                          "trace_residual": sol.trace_residual,
                          "sum_residual": sol.sum_residual,

@@ -93,9 +93,7 @@ _CONFIG_KEYS = {
     "r", "m", "mu", "sigma_b", "eigenvalues",
     "noise", "sigma", "sigma_min", "sigma_max", "truncation",
     "c_screen",
-    "sdp_rank", "sdp_restarts", "sdp_max_inner",
-    "gl_tol", "gl_max_iter", "gl_grid", "lambda_floor",
-}
+} | {f.name for f in fields(support.SolverOptions)}
 
 
 @dataclass
@@ -207,8 +205,9 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: list
 
-    def summary(self, level=0.95, resamples=1000):
-        """Per-(n, method, param) mean, sd, bootstrap CI over non-nan values."""
+    def summary(self):
+        """Per-(n, method, param) mean, sd and 95% bootstrap CI (1000
+        resamples) over non-nan values."""
         groups = {}
         for row in self.rows:
             groups.setdefault((row.n, row.method, row.param), []).append(row.value)
@@ -223,7 +222,7 @@ class ExperimentResult:
                 sd = float(vals.std(ddof=1))
                 rng = np.random.default_rng(
                     np.random.SeedSequence(self.config.seed, spawn_key=(1 << 20, gi)))
-                lo, hi = bootstrap_ci(vals, level=level, resamples=resamples, rng=rng)
+                lo, hi = bootstrap_ci(vals, rng=rng)
             out.append({"n": n, "method": method, "param": param, "mean": mean, "sd": sd,
                         "ci_low": lo, "ci_high": hi, "count": int(vals.size)})
         return out
@@ -257,11 +256,11 @@ def write_results(result, path):
                              _fmt_value(r.value), f"{r.runtime_ms:.3f}", int(r.converged)])
 
 
-def write_summary(result, path, level=0.95, resamples=1000):
+def write_summary(result, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "method", "param", "mean", "sd", "ci_low", "ci_high", "count"])
-        for g in result.summary(level=level, resamples=resamples):
+        for g in result.summary():
             writer.writerow([g["n"], g["method"], g["param"],
                              _fmt_value(g["mean"]), _fmt_value(g["sd"]),
                              _fmt_value(g["ci_low"]), _fmt_value(g["ci_high"]), g["count"]])

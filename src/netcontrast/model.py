@@ -229,16 +229,6 @@ class GroundTruth:
         mags = np.abs(self.eigenvalues)
         return float(mags[0] / mags[-1])
 
-    @property
-    def eigengaps(self):
-        """Per-eigenvalue distance to the nearest other eigenvalue (inf if r=1)."""
-        lam = self.eigenvalues
-        if lam.size <= 1:
-            return np.full(lam.size, np.inf)
-        diffs = np.abs(lam[:, None] - lam[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        return diffs.min(axis=1)
-
     def shared_matrix(self):
         a = (self.basis * self.eigenvalues) @ self.basis.T
         return 0.5 * (a + a.T)
@@ -248,10 +238,8 @@ class GroundTruth:
 class ObservationSet:
     """Observed control (g0) and treatment (g1) matrices on n common nodes."""
 
-    n: int
     g0: list
     g1: list
-    truth: GroundTruth | None = None
 
 
 def assemble_observations(truth, spec, n0, n1, rng, shared=False):
@@ -278,41 +266,4 @@ def assemble_observations(truth, spec, n0, n1, rng, shared=False):
         perturbs = [b for b, _ in truth.perturbations]
     g0 = [m_star + sample_noise(n, spec, rng) for _ in range(n0)]
     g1 = [m_star + b + sample_noise(n, spec, rng) for b in perturbs]
-    return ObservationSet(n=n, g0=g0, g1=g1, truth=truth)
-
-
-def node_support(b, tol=None):
-    """Minimal node set covering every above-tolerance entry of a symmetric B.
-
-    Starts from all rows holding an above-tol entry and greedily drops nodes in
-    ascending index order when their entries are covered by the remaining set
-    (a node with an above-tol diagonal entry can never be dropped).  Also
-    checks identifiability: every support row must hold at least |I|+1
-    above-tol entries, else the support is ambiguous and a warning is logged.
-
-    Returns
-    -------
-    (support, identifiable) : sorted index array and bool
-    """
-    b = np.asarray(b, dtype=float)
-    if tol is None:
-        tol = 1e-12 * np.max(np.abs(b)) if b.size else 0.0
-    mask = np.abs(b) > tol
-    active = set(np.flatnonzero(mask.any(axis=1)).tolist())
-    for i in sorted(active):
-        if mask[i, i]:
-            continue
-        cols = np.flatnonzero(mask[i])
-        if all(j in active and j != i for j in cols):
-            active.discard(i)
-    support = np.array(sorted(active), dtype=int)
-    identifiable = True
-    need = support.size + 1
-    for i in support:
-        if int(mask[i].sum()) < need:
-            identifiable = False
-            logger.warning(
-                "node %d has %d above-tol entries < |I|+1 = %d: support not identifiable",
-                i, int(mask[i].sum()), need,
-            )
-    return support, identifiable
+    return ObservationSet(g0=g0, g1=g1)

@@ -12,8 +12,6 @@ compare estimators.
 
 import logging
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -149,18 +147,9 @@ def reconstruct_symmetric(vectors, values):
     return 0.5 * (recon + recon.T)
 
 
-@dataclass
-class CorrectionFactor:
-    """Symmetric positive-definite whitening factor for the right eigenvectors."""
-
-    psi: np.ndarray
-    g: np.ndarray
-    g_symm: np.ndarray
-
-
 def eigenspace_correction(dec, copy1, copy2):
-    """Whitening correction from two extra independent copies of the shared
-    matrix.
+    """Symmetric positive-definite whitening factor psi for the right
+    eigenvectors, from two extra independent copies of the shared matrix.
 
     Inverts the eigenvalue-scaled quadratic form of the two copies on the
     right eigenspace, symmetrizes, and takes the principal square root of
@@ -176,21 +165,19 @@ def eigenspace_correction(dec, copy1, copy2):
     if np.linalg.cond(scaled) > 1e12:
         raise np.linalg.LinAlgError("eigenspace quadratic form is numerically singular")
     g = np.linalg.inv(scaled)
-    g_symm = 0.5 * (g + g.T)
-    evals, gamma = np.linalg.eigh(g_symm)
+    evals, gamma = np.linalg.eigh(0.5 * (g + g.T))
     if np.any(evals <= 0):
         raise np.linalg.LinAlgError(
             f"symmetrized correction has non-positive spectrum: {evals}"
         )
     psi = (gamma * np.sqrt(evals)) @ gamma.T
-    psi = 0.5 * (psi + psi.T)
-    return CorrectionFactor(psi=psi, g=g, g_symm=g_symm)
+    return 0.5 * (psi + psi.T)
 
 
-def whitened_reconstruction(dec, correction):
-    """Shared-matrix estimate from the right eigenvectors whitened by a
-    CorrectionFactor."""
-    return reconstruct_symmetric(dec.right @ correction.psi, dec.values)
+def whitened_reconstruction(dec, psi):
+    """Shared-matrix estimate from the right eigenvectors whitened by the
+    factor psi of eigenspace_correction."""
+    return reconstruct_symmetric(dec.right @ psi, dec.values)
 
 
 def spectral_baseline(mats, rank):

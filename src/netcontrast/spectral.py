@@ -118,21 +118,19 @@ def form_residual(y1, dec, kept=None):
     return resid if kept is None else resid[np.ix_(kept, kept)]
 
 
-def estimate_noise_scale(y0, dec, c_s=2.0):
+def estimate_noise_scale(y0, dec):
     """Noise scale from low-leverage rows of one control residual.
 
     tau = ||(Y0 - M0)_{SxS}||_F / |S| over S = rows with sqrt(n) * row norm
-    <= c_s * sqrt(log n).  Within a constant band of the true per-copy sigma
+    <= 2 sqrt(log n).  Within a constant band of the true per-copy sigma
     with high probability.
     """
     y0 = np.asarray(y0, dtype=float)
     n = dec.n
     row_norms = np.linalg.norm(dec.right, axis=1)
-    s = np.flatnonzero(math.sqrt(n) * row_norms <= c_s * math.sqrt(max(math.log(n), 0.0)))
+    s = np.flatnonzero(math.sqrt(n) * row_norms <= 2.0 * math.sqrt(max(math.log(n), 0.0)))
     if s.size < 2:
-        raise ValueError(
-            f"noise-scale index set has {s.size} rows (< 2) at c_s={c_s:g}"
-        )
+        raise ValueError(f"noise-scale index set has {s.size} rows (< 2)")
     resid = (y0 - dec.reconstruct())[np.ix_(s, s)]
     return float(np.linalg.norm(resid)) / s.size
 

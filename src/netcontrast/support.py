@@ -374,8 +374,8 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None):
 
     def passes(m):
         if m not in cache:
-            sol = solve_sdp(sq, m, opts=opts, rng=rng)
-            comp = np.setdiff1d(np.arange(nt), extract_support(sol, m))
+            idx, _ = recover("sdp", residual, m, opts=opts, rng=rng)
+            comp = np.setdiff1d(np.arange(nt), idx)
             s_max = float(sq[np.ix_(comp, comp)].sum(axis=1).max())
             slack = c_thresh * sigma_hat**2 * math.sqrt((nt - m) * math.log(nt))
             cache[m] = abs(s_max - sigma_hat**2 * (nt - m)) <= slack
@@ -523,9 +523,10 @@ def group_lasso_path(residual, grid, opts=None):
 
 
 def group_lasso_support(residual, m, opts=None):
-    """Support via the penalty path over lambda_grid(y, opts.gl_grid,
-    opts.lambda_floor): descend until at least m rows are active, then take
-    the m largest row norms (falls back to the last grid point)."""
+    """(support, last GroupLassoResult) of the penalty path over
+    lambda_grid(y, opts.gl_grid, opts.lambda_floor): descend until at least
+    m rows are active, then take the m largest row norms (falls back to the
+    last grid point)."""
     if not 1 <= m < len(residual):
         raise ValueError(f"need 1 <= m < n, got m={m}")
     opts = opts or SolverOptions()
@@ -535,7 +536,7 @@ def group_lasso_support(residual, m, opts=None):
         state = (res.factor, lam, res.grad_norms)
         if int((res.alpha > 0).sum()) >= m:
             break
-    return np.sort(np.argsort(-res.alpha, kind="stable")[:m])
+    return np.sort(np.argsort(-res.alpha, kind="stable")[:m]), res
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +552,9 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None):
     tau^2, sdp-multi multiplies the two half-averages.  glasso, hard and lse
     work on the averaged copy.  Returns (indices, solution): the support in
     original node numbering (through kept, the screening map, when given)
-    and the SdpSolution of an SDP method, else None; opts is a SolverOptions.
-    Non-finite residuals raise ValueError.
+    and the SdpSolution of an SDP method, the last GroupLassoResult of
+    glasso, else None; opts is a SolverOptions.  Non-finite residuals raise
+    ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown support method {method!r}; use one of {', '.join(METHODS)}")
@@ -560,7 +562,7 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None):
     avg = _average(residuals)
     sol = None
     if method == "glasso":
-        idx = group_lasso_support(avg, m, opts)
+        idx, sol = group_lasso_support(avg, m, opts)
     elif method == "hard":
         idx = hard_threshold(avg, m)
     elif method == "lse":

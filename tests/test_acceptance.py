@@ -302,9 +302,9 @@ def test_whitening_factor_near_identity():
         comp = asymmetric_combine(obs.g0[0], obs.g0[1])
         dec = asymmetric_eigenpairs(comp, r)
         corr = eigenspace_correction(dec, obs.g0[2], obs.g0[3])
-        assert np.allclose(corr.psi, corr.psi.T)
-        assert np.linalg.eigvalsh(corr.psi).min() > 0
-        assert np.linalg.norm(corr.psi - np.eye(r), 2) <= 0.5, (seed,)
+        assert np.allclose(corr, corr.T)
+        assert np.linalg.eigvalsh(corr).min() > 0
+        assert np.linalg.norm(corr - np.eye(r), 2) <= 0.5, (seed,)
 
 
 def test_eigengap_ratio_negligible_impact():

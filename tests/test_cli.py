@@ -129,7 +129,7 @@ def with_small_matrix(flags, tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--sdp-rank", "0"], ["--sdp-rank", "-1"], ["--sdp-restarts", "0"],
-    ["--sdp-feas-tol", "0"], ["--gl-grid", "0"], ["--gl-tol", "nan"],
+    ["--sdp-restarts", "-1"], ["--gl-grid", "0"], ["--gl-tol", "nan"],
     ["--gl-max-iter", "0"], ["--m", "0"], ["--m", "60"],
     ["--mu", "'x'"], ["--mu", "[1]"],
     ["--rank", "-1"], ["--rank", "61"], ["--c-screen", "0"],
@@ -148,6 +148,18 @@ def test_recover_bad_settings_exit_one(dataset, tmp_path, capsys, flags):
     rc = main(argv)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("knob", ["sdp_max_outer", "sdp_feas_tol", "gl_rho"])
+def test_deleted_solver_knobs_are_refused(dataset, capsys, knob):
+    # the settings of the removed ALM (SDP) and ADMM (group lasso) solvers
+    # are unknown, as a recover flag and as an experiment config key
+    flag = "--" + knob.replace("_", "-")
+    rc = main(["recover", "--y1", str(dataset / "y1_00.txt"), "--m", "4", flag, "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
+    with pytest.raises(harness.ConfigError, match=f"^unknown key '{knob}'$"):
+        harness.config_from_mapping({"preset": "exp-snr", knob: "1"})
 
 
 @pytest.mark.parametrize("flags", [
@@ -229,6 +241,18 @@ def test_recover_nonconverged_exit_code(dataset, tmp_path, monkeypatch):
     rec = json.loads(out.read_text())
     assert rec["converged"] is False and rec["sdp"]["converged"] is False
     assert rec["sdp"]["iterations"] == 1
+
+
+def test_recover_glasso_iteration_cap_exits_two(dataset, tmp_path, caplog):
+    # one FISTA iteration cannot meet the tolerance: the support path's cap binds
+    out = tmp_path / "cap.json"
+    rc = main(["recover", "--y1", str(dataset / "y1_00.txt"), "--y0", str(dataset / "y0_00.txt"),
+               "--rank", "2", "--m", "4", "--method", "glasso", "--gl-max-iter", "1",
+               "--out", str(out)])
+    rec = json.loads(out.read_text())
+    assert "stopped at gl_max_iter = 1" in caplog.text
+    assert rc == 2 and rec["converged"] is False and "sdp" not in rec
+    assert len(rec["support"]) == 4
 
 
 def test_refine_all_estimators(dataset, tmp_path):

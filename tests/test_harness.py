@@ -218,8 +218,7 @@ def test_solver_settings_defaults_and_overrides():
 
 @pytest.mark.parametrize("key,value", [
     ("sdp_rank", "0"), ("sdp_rank", "-1"), ("sdp_restarts", "0"),
-    ("sdp_max_inner", "0"), ("sdp_max_outer", "0"), ("sdp_feas_tol", "0"),
-    ("gl_grid", "0"), ("gl_rho", "0"), ("gl_max_iter", "0"), ("sdp_rank", "two"),
+    ("sdp_max_inner", "0"), ("gl_grid", "0"), ("gl_max_iter", "0"), ("sdp_rank", "two"),
     ("gl_tol", "0"), ("gl_tol", "-1"), ("lambda_floor", "0"), ("lambda_floor", "-0.5"),
     ("truncation", "0"), ("truncation", "-1"), ("gl_tol", "abc"), ("sigma", "abc"),
 ])
@@ -295,6 +294,13 @@ def test_run_experiment_zero_noise_recovers_exactly():
     assert rows[0].value == 0.0
     assert rows[0].converged
     assert rows[0].runtime_ms == 0.0
+
+
+def test_glasso_rows_report_a_binding_iteration_cap():
+    # one FISTA iteration cannot meet the tolerance on any grid point
+    rows = run_experiment(small_snr_cfg(methods="glasso", gl_max_iter="1")).rows
+    assert len(rows) == 2 and not any(r.converged for r in rows)
+    assert all(r.converged for r in run_experiment(small_snr_cfg(methods="glasso")).rows)
 
 
 def test_run_experiment_timing_flag():

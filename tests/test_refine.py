@@ -255,21 +255,24 @@ def test_correction_noiseless_is_identity():
     gt, _ = planted(90, 3, 6)
     m = gt.shared_matrix()
     dec = asymmetric_eigenpairs(m, 3)
-    corr = eigenspace_correction(dec, m, m)
-    assert np.allclose(corr.psi, np.eye(3), atol=1e-8)
-    white = dec.right @ corr.psi
+    psi = eigenspace_correction(dec, m, m)
+    assert np.allclose(psi, np.eye(3), atol=1e-8)
+    white = dec.right @ psi
     assert np.allclose(white.T @ white, np.eye(3), atol=1e-8)
-    assert np.allclose(whitened_reconstruction(dec, corr), m, atol=1e-6)
+    assert np.allclose(whitened_reconstruction(dec, psi), m, atol=1e-6)
 
 
 def test_correction_square_is_symmetrized_inverse_form():
     gt, rng = planted(120, 3, 7, spread=(12.0, 8.0, 5.0))
     m = gt.shared_matrix()
     dec = asymmetric_eigenpairs(asymmetric_combine(noisy_copy(m, rng), noisy_copy(m, rng)), 3)
-    corr = eigenspace_correction(dec, noisy_copy(m, rng), noisy_copy(m, rng))
-    assert np.allclose(corr.psi, corr.psi.T)
-    assert np.linalg.eigvalsh(corr.psi).min() > 0
-    assert np.allclose(corr.psi @ corr.psi, corr.g_symm, atol=1e-10)
+    c1, c2 = noisy_copy(m, rng), noisy_copy(m, rng)
+    psi = eigenspace_correction(dec, c1, c2)
+    assert np.allclose(psi, psi.T)
+    assert np.linalg.eigvalsh(psi).min() > 0
+    # psi^2 is the symmetrized inverse of the eigenvalue-scaled form U^T C1 C2 U
+    g = np.linalg.inv(dec.right.T @ c1 @ c2 @ dec.right / np.outer(dec.values, dec.values))
+    assert np.allclose(psi @ psi, 0.5 * (g + g.T), atol=1e-10)
 
 
 def test_correction_swap_invariance():
@@ -280,8 +283,7 @@ def test_correction_swap_invariance():
     c2 = noisy_copy(m, rng)
     a = eigenspace_correction(dec, c1, c2)
     b = eigenspace_correction(dec, c2, c1)
-    assert np.allclose(a.psi, b.psi, atol=1e-12)
-    assert np.allclose(a.g, b.g.T, atol=1e-12)
+    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_correction_raises_on_singular_and_indefinite():
@@ -299,8 +301,7 @@ def test_whitened_columns_near_orthonormal_under_noise():
     m = gt.shared_matrix()
     comp = asymmetric_combine(noisy_copy(m, rng), noisy_copy(m, rng))
     dec = asymmetric_eigenpairs(comp, 3)
-    corr = eigenspace_correction(dec, noisy_copy(m, rng), noisy_copy(m, rng))
-    white = dec.right @ corr.psi
+    white = dec.right @ eigenspace_correction(dec, noisy_copy(m, rng), noisy_copy(m, rng))
     gram = white.T @ white
     assert np.abs(gram - np.eye(3)).max() < 0.25
 

@@ -180,13 +180,14 @@ def test_noise_scale_scales_with_sigma():
 
 
 def test_noise_scale_needs_quiet_rows():
-    # rank-n decomposition leaves no quiet rows to average over
+    # a rank-n decomposition has unit rows, so no row is quiet:
+    # sqrt(12) = 3.46 > 2 sqrt(log 12) = 3.15
     n = 12
     y = rng_of(14).standard_normal((n, n))
     y = (y + y.T) / 2
     dec = spectral_init(y, n)
-    with pytest.raises(ValueError):
-        estimate_noise_scale(y, dec, c_s=0.0)
+    with pytest.raises(ValueError, match="0 rows"):
+        estimate_noise_scale(y, dec)
 
 
 def test_noise_scale_rank_zero_is_frobenius_over_n():

@@ -634,7 +634,8 @@ def test_path_rejects_bad_grids():
 
 def test_group_lasso_support_recovers_planted():
     resid, sup = planted_residual(40, 4, 2.0, 25, sigma=0.5)
-    assert np.array_equal(group_lasso_support(resid, 4), sup)
+    got, res = group_lasso_support(resid, 4)
+    assert np.array_equal(got, sup) and res.converged
     with pytest.raises(ValueError):
         group_lasso_support(resid, 0)
 
@@ -688,7 +689,8 @@ def test_recover_matches_direct_call_chain(method):
     got, sol = support.recover(method, copies, 3, tau=1.5, kept=kept, opts=opts,
                                rng=rng_of(5))
     assert np.array_equal(got, want)
-    assert (sol is not None) == method.startswith("sdp")
+    kinds = {"glasso": support.GroupLassoResult, "hard": type(None), "lse": type(None)}
+    assert type(sol) is kinds.get(method, support.SdpSolution)
     local, _ = support.recover(method, copies, 3, tau=1.5, opts=opts, rng=rng_of(5))
     assert np.array_equal(kept[local], want)
 
