@@ -20,6 +20,7 @@ import time
 from collections import UserDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -162,10 +163,6 @@ def config_from_mapping(raw):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.trials is not None and cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if cfg.n_list is not None and any(n < 1 for n in cfg.n_list):
-        raise ConfigError("n values must be positive")
     return cfg
 
 
@@ -277,8 +274,8 @@ class _Plan:
     params: tuple           # the param labels of the rows
     points: tuple           # the converted points, one seeded task each
     cell: object
-    # cell(n, point, data_rng, method_rngs, timing)
-    #     -> {(method, param): (value, runtime_ms, converged)}
+    # cell(n, point, data_rng) -> {method: run}, one run per method of the
+    # trial drawn from data_rng; run(rng) -> {param: (value, converged)}
 
 
 def _child_rng(seed, ni, pj, trial, stream):
@@ -288,8 +285,10 @@ def _child_rng(seed, ni, pj, trial, stream):
 def run_experiment(cfg, threads=1):
     """Run a configured experiment; deterministic given cfg and seed.
 
-    Per-trial failures are logged and recorded as nan rows with a cleared
-    convergence flag; they never abort the sweep.
+    Each method's run gets its own generator and, under cfg.timing, its
+    runtime, shared evenly by the rows it fills.  A trial that cannot be
+    drawn, or a run that raises, is logged and leaves nan rows with a
+    cleared convergence flag; it never aborts the sweep.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -302,15 +301,24 @@ def run_experiment(cfg, threads=1):
     def work(key):
         ni, pj, t = key
         n = plan.n_list[ni]
-        data_rng = _child_rng(cfg.seed, ni, pj, t, 0)
-        mrngs = {meth: _child_rng(cfg.seed, ni, pj, t, 1 + k)
-                 for k, meth in enumerate(plan.methods)}
         try:
-            return plan.cell(n, plan.points[pj], data_rng, mrngs, cfg.timing)
+            runs = plan.cell(n, plan.points[pj], _child_rng(cfg.seed, ni, pj, t, 0))
         except Exception:
             logger.warning("trial failed (n=%d, point-index=%d, trial=%d)",
                            n, pj, t, exc_info=True)
             return {}
+        out = {}
+        for k, meth in enumerate(plan.methods):
+            t0 = time.perf_counter()
+            try:
+                got = runs[meth](_child_rng(cfg.seed, ni, pj, t, 1 + k))
+            except Exception:
+                logger.warning("method %s failed (n=%d, point-index=%d, trial=%d)",
+                               meth, n, pj, t, exc_info=True)
+                continue
+            ms = (time.perf_counter() - t0) * 1e3 / max(len(got), 1) if cfg.timing else 0.0
+            out.update(((meth, param), (value, ms, conv)) for param, (value, conv) in got.items())
+        return out
 
     if threads <= 1:
         outs = [work(key) for key in tasks]
@@ -332,14 +340,6 @@ def run_experiment(cfg, threads=1):
 
 # ---------------------------------------------------------------------------
 # shared cell helpers
-
-def _timed(fn, timing):
-    if not timing:
-        return fn(), 0.0
-    t0 = time.perf_counter()
-    out = fn()
-    return out, (time.perf_counter() - t0) * 1e3
-
 
 def _convert(key, value, kind):
     """kind(value), int or float, with a ConfigError that names key when the
@@ -382,22 +382,14 @@ def _noise_from(o, family):
         raise ConfigError(str(exc)) from None
 
 
-def _support_fnr(methods, param, resids, tau, m, truth, kept, mrngs, opts, timing):
-    """One trial's FNR per support method, keyed by (method, param); resids
-    is a matrix or list of copies.  A method that fails leaves its key out."""
-    out = {}
-    for meth in methods:
-        def run(meth=meth):
-            idx, sol = support.recover(meth, resids, m, tau=tau, kept=kept,
-                                       opts=opts, rng=mrngs[meth])
-            return support.false_negative_rate(idx, truth), sol is None or sol.converged
-        try:
-            (value, conv), ms = _timed(run, timing)
-        except Exception:
-            logger.warning("method %s failed", meth, exc_info=True)
-            continue
-        out[meth, param] = (value, ms, conv)
-    return out
+def _support_runs(methods, param, resids, m, truth, **recover_kw):
+    """One trial's run per support method: its FNR at param.  resids is a
+    matrix or list of copies; recover_kw (tau, kept, opts) go to
+    support.recover."""
+    def run(meth, rng):
+        idx, sol = support.recover(meth, resids, m, rng=rng, **recover_kw)
+        return {param: (support.false_negative_rate(idx, truth), sol is None or sol.converged)}
+    return {meth: partial(run, meth) for meth in methods}
 
 
 def _sizes(cfg, n_list, trials):
@@ -508,7 +500,7 @@ def _build_snr(cfg):
     noise = _noise_from(o, "gaussian-iid")
     c_screen = _positive(o, "c_screen", spectral.C_SCREEN, float)
 
-    def cell(n, point, data_rng, mrngs, timing):
+    def cell(n, point, data_rng):
         param, sigma_b = point
         m = sizes[n]
         basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
@@ -517,7 +509,7 @@ def _build_snr(cfg):
                                perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
         resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen)
-        return _support_fnr(methods, param, resids, tau, m, truth_sup, kept, mrngs, opts, timing)
+        return _support_runs(methods, param, resids, m, truth_sup, tau=tau, kept=kept, opts=opts)
 
     return _Plan(n_list, trials, methods, params, points, cell)
 
@@ -534,11 +526,10 @@ def _build_glfail(cfg):
     opts = solver_settings(o)
     noise = _noise_from(o, "gaussian-iid")
 
-    def cell(n, param, data_rng, mrngs, timing):
+    def cell(n, param, data_rng):
         b, signal, _ = model.sample_decoy_perturbation(n, data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
-        return _support_fnr(methods, param, y, None, len(signal), signal, None, mrngs, opts,
-                            timing)
+        return _support_runs(methods, param, y, len(signal), signal, opts=opts)
 
     return _Plan(n_list, trials, methods, params, params, cell)
 
@@ -554,14 +545,13 @@ def _build_multicopy(cfg):
     points = _coefficient_points(cfg, params, o, n_list)
     noise = _noise_from(o, "gaussian-row-hetero")
 
-    def cell(n, point, data_rng, mrngs, timing):
+    def cell(n, point, data_rng):
         param, sigma_b = point
         m = sizes[n]
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng)
         y1 = b + model.sample_noise(n, noise, data_rng)
         y2 = b + model.sample_noise(n, noise, data_rng)
-        return _support_fnr(methods, param, [y1, y2], None, m, truth_sup, None, mrngs, opts,
-                            timing)
+        return _support_runs(methods, param, [y1, y2], m, truth_sup, opts=opts)
 
     return _Plan(n_list, trials, methods, params, points, cell)
 
@@ -577,13 +567,13 @@ def _build_heavytail(cfg):
     points = _coefficient_points(cfg, params, o, n_list)
     noise = _noise_from(o, "scaled-t4")
 
-    def cell(n, point, data_rng, mrngs, timing):
+    def cell(n, point, data_rng):
         param, sigma_b = point
         m = sizes[n]
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
         resids, _, tau = spectral.stage_one([y], [], 0, c_screen=None)
-        return _support_fnr(methods, param, resids, tau, m, truth_sup, None, mrngs, opts, timing)
+        return _support_runs(methods, param, resids, m, truth_sup, tau=tau, opts=opts)
 
     return _Plan(n_list, trials, methods, params, points, cell)
 
@@ -614,7 +604,7 @@ def _build_coherence(cfg):
     noise = _noise_from(o, "gaussian-iid")
     c_screen = _positive(o, "c_screen", spectral.C_SCREEN, float)
 
-    def cell(n, point, data_rng, mrngs, timing):
+    def cell(n, point, data_rng):
         param, mus, screen = point
         m = sizes[n]
         basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
@@ -629,30 +619,29 @@ def _build_coherence(cfg):
                                perturbations=[(b, truth_sup)])
         obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
         resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen if screen else None)
-        return _support_fnr(methods, param, resids, tau, m, truth_sup, kept, mrngs, opts, timing)
+        return _support_runs(methods, param, resids, m, truth_sup, tau=tau, kept=kept, opts=opts)
 
     return _Plan(n_list, trials, methods, params, tuple(points), cell)
 
 
-def _refine_errors(methods, param, r, basis, vals, noise, data_rng, timing):
-    """One trial's linf error per refinement estimator, keyed by (method,
-    param), from four noisy copies of the planted matrix; mhat1 splices the
-    means of copies 0, 2 and 1, 3, mhat2 splices copies 0 and 1 and whitens
-    with 2 and 3."""
+def _refine_runs(methods, param, r, basis, vals, noise, data_rng):
+    """One trial's run per refinement estimator: its linf error at param,
+    from four noisy copies of the planted matrix; mhat1 splices the means
+    of copies 0, 2 and 1, 3, mhat2 splices copies 0 and 1 and whitens with
+    2 and 3."""
     mstar = model.GroundTruth(basis=basis, eigenvalues=vals).shared_matrix()
     copies = [mstar + model.sample_noise(basis.shape[0], noise, data_rng) for _ in range(4)]
-    out = {}
-    for meth in methods:
-        def run(meth=meth):
-            if meth == "mhat1":
-                layout = (0.5 * (copies[0] + copies[2]), 0.5 * (copies[1] + copies[3]))
-            else:
-                layout = (copies[0], copies[1], copies[2:])
-            ((_, est, _),) = refine.estimate((meth,), r, copies, *layout)
-            return None if est is None else refine.entry_error(est, mstar)
-        value, ms = _timed(run, timing)
-        out[meth, param] = (math.nan if value is None else value, ms, value is not None)
-    return out
+
+    def run(meth, rng):
+        if meth == "mhat1":
+            layout = (0.5 * (copies[0] + copies[2]), 0.5 * (copies[1] + copies[3]))
+        else:
+            layout = (copies[0], copies[1], copies[2:])
+        ((_, est, _),) = refine.estimate((meth,), r, copies, *layout)
+        if est is None:
+            return {param: (math.nan, False)}
+        return {param: (refine.entry_error(est, mstar), True)}
+    return {meth: partial(run, meth) for meth in methods}
 
 
 def _build_refine(cfg):
@@ -676,10 +665,10 @@ def _build_refine(cfg):
             n: np.array([lmin[n] * math.sqrt(n) + (r - i) * math.log(n) for i in range(1, r + 1)])
             for n in n_list}))
 
-    def cell(n, point, data_rng, mrngs, timing):
+    def cell(n, point, data_rng):
         param, mus, vals = point
         basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
-        return _refine_errors(methods, param, r, basis, vals[n], noise, data_rng, timing)
+        return _refine_runs(methods, param, r, basis, vals[n], noise, data_rng)
 
     return _Plan(n_list, trials, methods, params, tuple(points), cell)
 
@@ -701,10 +690,10 @@ def _build_eigengap(cfg):
     points = tuple((param, {n: eigenvalues(n, ratio) for n, ratio in _rule_at(
         f"exp-eigengap point {param!r}", param, n_list, r=r).items()}) for param in params)
 
-    def cell(n, point, data_rng, mrngs, timing):
+    def cell(n, point, data_rng):
         param, vals = point
         basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
-        return _refine_errors(methods, param, r, basis, vals[n], noise, data_rng, timing)
+        return _refine_runs(methods, param, r, basis, vals[n], noise, data_rng)
 
     return _Plan(n_list, trials, methods, params, points, cell)
 
@@ -729,18 +718,19 @@ def _build_path(cfg):
     sigma_b = _rule_at(f"rule sigma_b = {sb_expr!r}", sb_expr, n_list, True)
     noise = _noise_from(o, "gaussian-iid")
 
-    def cell(n, point, data_rng, mrngs, timing):
+    def cell(n, point, data_rng):
         b, _ = model.sample_node_sparse(n, sizes[n], sigma_b[n], data_rng)
         y = b + model.sample_noise(n, noise, data_rng)
         grid = support.lambda_grid(y, opts.gl_grid, opts.lambda_floor)
-        path, ms = _timed(lambda: support.group_lasso_path(y, grid, opts), timing)
-        per_point = ms / max(grid.size, 1)
-        out = {}
-        for t, label in enumerate(labels[:grid.size]):
-            out["active-count", label] = (float((path.alphas[t] > 0).sum()), per_point,
-                                          bool(path.converged[t]))
-            out["penalty", label] = (float(grid[t]), 0.0, True)
-        return out
+        drawn = labels[:grid.size]
+
+        def active_counts(rng):
+            path = support.group_lasso_path(y, grid, opts)
+            return {label: (float((path.alphas[t] > 0).sum()), bool(path.converged[t]))
+                    for t, label in enumerate(drawn)}
+        return {"active-count": active_counts,
+                "penalty": lambda rng: {label: (float(grid[t]), True)
+                                        for t, label in enumerate(drawn)}}
 
     return _Plan(n_list, trials, methods, params, (None,), cell)
 
@@ -781,13 +771,15 @@ def build_plan(cfg):
             f"unknown preset {cfg.preset!r}; available: {', '.join(preset_names())}")
     if cfg.n_list is not None and not cfg.n_list:
         raise ConfigError("n list is empty")
+    if cfg.n_list is not None and min(cfg.n_list) < 1:
+        raise ConfigError("n values must be positive")
+    if cfg.trials is not None and cfg.trials < 1:
+        raise ConfigError("trials must be >= 1")
     options = _ReadLog(cfg.options)
     plan = PRESETS[cfg.preset](replace(cfg, options=options))
     unread = sorted(options.keys() - options.read)
     if unread:
         raise ConfigError(f"preset {cfg.preset!r} does not read {', '.join(unread)}")
-    if plan.trials < 1:
-        raise ConfigError("trials must be >= 1")
     for what, items in (("method", plan.methods), ("point", plan.params)):
         repeated = [x for i, x in enumerate(items) if x in items[:i]]
         if repeated:

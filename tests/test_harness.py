@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netcontrast import model
+from netcontrast import model, refine, support
 from netcontrast.harness import (
     _RULE_NAMES,
     ConfigError,
@@ -166,11 +166,12 @@ def test_config_from_mapping_validation():
     with pytest.raises(ConfigError):
         config_from_mapping({"preset": "exp-snr", "trials": "zero"})
     with pytest.raises(ConfigError):
-        config_from_mapping({"preset": "exp-snr", "trials": "0"})
-    with pytest.raises(ConfigError):
-        config_from_mapping({"preset": "exp-snr", "n": "-5"})
-    with pytest.raises(ConfigError):
         config_from_mapping({"preset": "exp-snr", "timing": "maybe"})
+    # the range checks belong to build_plan, which library configs also reach
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        build_plan(config_from_mapping({"preset": "exp-snr", "trials": "0"}))
+    with pytest.raises(ConfigError, match="n values must be positive"):
+        build_plan(config_from_mapping({"preset": "exp-snr", "n": "-5"}))
 
 
 def test_build_plan_rejects_unknown_preset_and_methods():
@@ -191,6 +192,13 @@ def test_build_plan_rejects_zero_trials(preset):
 def test_build_plan_rejects_empty_n_list(preset):
     with pytest.raises(ConfigError, match="n list is empty"):
         build_plan(ExperimentConfig(preset=preset, n_list=()))
+
+
+@pytest.mark.parametrize("preset", preset_names())
+@pytest.mark.parametrize("n_list", [(0,), (-5,)])
+def test_build_plan_rejects_nonpositive_n(preset, n_list):
+    with pytest.raises(ConfigError, match="n values must be positive"):
+        build_plan(ExperimentConfig(preset=preset, n_list=n_list))
 
 
 def test_threads_is_not_a_config_key(tmp_path):
@@ -344,9 +352,14 @@ def test_value_formatting(tmp_path):
 
 
 def test_per_trial_path_preset_rows():
-    cfg = config_from_mapping({"preset": "exp-path", "n": "60", "trials": "1",
-                               "seed": "5", "gl_grid": "12"})
+    cfg = config_from_mapping({"preset": "exp-path", "n": "60", "trials": "2",
+                               "seed": "5", "gl_grid": "12", "timing": "1"})
     rows = run_experiment(cfg).rows
+    # the one path solve of a trial is charged evenly to its grid points
+    for t in range(2):
+        times = {r.runtime_ms for r in rows if r.method == "active-count" and r.trial == t}
+        assert len(times) == 1 and times.pop() > 0
+    rows = [r for r in rows if r.trial == 0]
     labels = sorted({r.param for r in rows})
     assert labels == [f"t{i:02d}" for i in range(12)]
     methods = {r.method for r in rows}
@@ -367,6 +380,31 @@ def test_refine_preset_smoke():
     assert by_method == {"spec", "mhat1", "mhat2"}
     for r in rows:
         assert math.isnan(r.value) or r.value >= 0
+
+
+def test_path_penalty_rows_do_not_solve_the_path(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no path")
+
+    monkeypatch.setattr(support, "group_lasso_path", fail)
+    cfg = config_from_mapping({"preset": "exp-path", "n": "60", "trials": "1",
+                               "gl_grid": "6", "methods": "penalty"})
+    rows = run_experiment(cfg).rows
+    assert [r.param for r in rows] == [f"t{i:02d}" for i in range(6)]
+    assert all(math.isfinite(r.value) and r.converged for r in rows)
+
+
+def test_refine_preset_isolates_a_raising_estimator(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no correction")
+
+    monkeypatch.setattr(refine, "eigenspace_correction", fail)
+    cfg = config_from_mapping({"preset": "exp-refine", "n": "120", "trials": "1",
+                               "params": "mu=log(n)|lmin=3"})
+    rows = {r.method: r for r in run_experiment(cfg).rows}
+    assert math.isnan(rows["mhat2"].value) and not rows["mhat2"].converged
+    for meth in ("spec", "mhat1"):
+        assert math.isfinite(rows[meth].value) and rows[meth].converged
 
 
 def test_refine_preset_csv_bytes_identical_across_thread_counts(tmp_path):
