@@ -133,11 +133,18 @@ def _emit_json(record, path):
 def _cmd_generate(args):
     rng = np.random.default_rng(args.seed)
     n, r = args.n, args.r
-    mu = harness.eval_rule(args.mu, n=n, r=r)
-    m = int(round(harness.eval_rule(args.m, n=n, r=r)))
-    sigma_b = harness.eval_rule(args.sigma_b, n=n, r=r)
-    vals = np.array([harness.eval_rule(args.eigenvalues, n=n, r=r, i=i)
-                     for i in range(1, r + 1)])
+
+    def rule(flag, expr, **extra):
+        # inf and NaN pass some samplers' range checks and break int(round())
+        value = harness.eval_rule(expr, n=n, r=r, **extra)
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} {expr!r} gives {value}, not a finite number")
+        return value
+
+    mu = rule("--mu", args.mu)
+    m = int(round(rule("--m", args.m)))
+    sigma_b = rule("--sigma-b", args.sigma_b)
+    vals = np.array([rule("--eigenvalues", args.eigenvalues, i=i) for i in range(1, r + 1)])
     try:
         noise = model.NoiseSpec(family=args.noise, sigma=args.sigma,
                                 sigma_min=args.sigma_min, sigma_max=args.sigma_max)

@@ -13,7 +13,6 @@ compare estimators.
 import logging
 
 import numpy as np
-import scipy.linalg
 
 from .spectral import RankDecomposition, _average, _sign_fix, spectral_init
 
@@ -50,11 +49,10 @@ def asymmetric_eigenpairs(mat, rank):
     nonnegative) and each left vector is flipped so its overlap with the
     matching right vector is positive.
 
-    The pairs come from two ARPACK solves (on mat and mat.T) from a fixed
-    seeded start vector, matched by value order; LinAlgError is raised
-    when a matched left value differs from its right value by more than
-    1e-6 relative.  The dense decomposition runs only when ARPACK cannot
-    (rank >= n - 1) or raises an ArpackError.  Non-finite input raises
+    Each side comes from _top_eigenpairs, the right pairs of mat and the left
+    pairs as the right pairs of mat.T, and the two are matched by value
+    order; LinAlgError is raised when a matched left value differs from its
+    right value by more than 1e-6 relative.  Non-finite input raises
     ValueError.
     """
     mat = np.asarray(mat, dtype=float)
@@ -63,15 +61,14 @@ def asymmetric_eigenpairs(mat, rank):
         raise ValueError(f"need 1 <= rank <= n, got rank={rank}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix must be finite")
-    pairs = _partial_eigenpairs(mat, rank) if rank < nt - 1 else None
-    if pairs is None:
-        w, vl, vr = scipy.linalg.eig(mat, left=True, right=True)
-        order = np.argsort(-np.abs(w), kind="stable")[:rank]
-        wl = w = w[order]
-        vl = vl[:, order]
-        vr = vr[:, order]
-    else:
-        w, vr, wl, vl = pairs
+    w, vr = _top_eigenpairs(mat, rank)
+    wl, vl = _top_eigenpairs(mat.T, rank)
+    # pair the j-th smallest left value with the j-th smallest right one, so
+    # that l and -l, tied in magnitude, still meet their own partners
+    right, left = np.argsort(w.real), np.argsort(wl.real)
+    order = np.argsort(-np.abs(w[right]), kind="stable")
+    right, left = right[order], left[order]
+    w, vr, wl, vl = w[right], vr[:, right], wl[left], vl[:, left]
     bad = np.abs(w.imag) > 1e-6 * np.maximum(np.abs(w), 1e-300)
     if np.any(bad):
         raise np.linalg.LinAlgError(
@@ -90,38 +87,29 @@ def asymmetric_eigenpairs(mat, rank):
     return RankDecomposition(right=vr, left=vl, values=w)
 
 
-def _arpack_top(mat, rank, symmetric=False):
-    """(values, vectors) of the top-rank eigenpairs by magnitude from ARPACK
-    (eigsh when symmetric, else eigs), started from a fixed seeded vector;
-    None after an ArpackError, so the caller can fall back to a dense
-    solve."""
-    # imported here: recover never reaches refine and need not load ARPACK
-    import scipy.sparse.linalg
+def _top_eigenpairs(mat, rank, symmetric=False):
+    """(values, vectors) of the top-rank eigenpairs of mat, by decreasing
+    magnitude.  For rank < n - 1 they come from ARPACK (eigsh when
+    symmetric, else eigs) started from a fixed seeded vector, so results
+    are deterministic; numpy's dense eigh or eig runs when ARPACK cannot
+    (rank >= n - 1) or raises an ArpackError."""
+    n = mat.shape[0]
+    pairs = None
+    if rank < n - 1:
+        # imported here: recover never reaches refine and need not load scipy
+        import scipy.sparse.linalg
 
-    solve = scipy.sparse.linalg.eigsh if symmetric else scipy.sparse.linalg.eigs
-    v0 = np.random.default_rng(0).standard_normal(mat.shape[0])
-    try:
-        return solve(mat, k=rank, which="LM", v0=v0)
-    except scipy.sparse.linalg.ArpackError:
-        logger.debug("ARPACK failed; using the dense eigendecomposition", exc_info=True)
-        return None
-
-
-def _partial_eigenpairs(mat, rank):
-    """(values, right, left values, left) of the top-rank pairs by magnitude
-    from ARPACK, left matched to right by value order; None when ARPACK
-    fails."""
-    rpairs = _arpack_top(mat, rank)
-    lpairs = None if rpairs is None else _arpack_top(mat.T, rank)
-    if lpairs is None:
-        return None
-    (w, vr), (wl, vl) = rpairs, lpairs
-    # pair the j-th smallest left value with the j-th smallest right one, so
-    # that l and -l, tied in magnitude, still meet their own partners
-    right, left = np.argsort(w.real), np.argsort(wl.real)
-    order = np.argsort(-np.abs(w[right]), kind="stable")
-    right, left = right[order], left[order]
-    return w[right], vr[:, right], wl[left], vl[:, left]
+        solve = scipy.sparse.linalg.eigsh if symmetric else scipy.sparse.linalg.eigs
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            pairs = solve(mat, k=rank, which="LM", v0=v0)
+        except scipy.sparse.linalg.ArpackError:
+            logger.debug("ARPACK failed; using the dense eigendecomposition", exc_info=True)
+    if pairs is None:
+        pairs = (np.linalg.eigh if symmetric else np.linalg.eig)(mat)
+    w, v = pairs
+    order = np.argsort(-np.abs(w), kind="stable")[:rank]
+    return w[order], v[:, order]
 
 
 def _overlaps(dec):
@@ -183,19 +171,15 @@ def whitened_reconstruction(dec, psi):
 def spectral_baseline(mats, rank):
     """Plain rank-r truncation of the (averaged) symmetric observations.
 
-    The top-rank pairs by magnitude come from one ARPACK eigsh solve from
-    the seeded start of asymmetric_eigenpairs.  The dense spectral_init
-    runs only for rank < 1, rank >= n - 1 or after an ArpackError.
-    Non-finite input and a rank outside [0, n] raise ValueError.
+    The top-rank pairs come from _top_eigenpairs on the mean; the dense
+    spectral_init runs for rank < 1 and rank >= n - 1.  Non-finite input and
+    a rank outside [0, n] raise ValueError.
     """
     mean = _average(mats)
-    n = mean.shape[0]
-    pairs = _arpack_top(mean, rank, symmetric=True) if 1 <= rank < n - 1 else None
-    if pairs is None:
+    if not 1 <= rank < mean.shape[0] - 1:
         return spectral_init(mean, rank).reconstruct()
-    w, v = pairs
-    order = np.argsort(-np.abs(w), kind="stable")
-    return reconstruct_symmetric(v[:, order], w[order])
+    w, v = _top_eigenpairs(mean, rank, symmetric=True)
+    return reconstruct_symmetric(v, w)
 
 
 ESTIMATORS = ("spec", "mhat1", "mhat2")

@@ -132,7 +132,7 @@ def test_asymmetric_eigenpairs_partial_matches_dense():
 def test_asymmetric_eigenpairs_skips_dense_solve_below_n_minus_one(monkeypatch):
     comp = refine_composite(40, 13)
     w, vr, _ = dense_reference(comp, 3)
-    monkeypatch.setattr(scipy.linalg, "eig", no_dense_eig)
+    monkeypatch.setattr(np.linalg, "eig", no_dense_eig)
     assert np.allclose(asymmetric_eigenpairs(comp, 3).values, w, rtol=1e-10, atol=0)
     with pytest.raises(AssertionError, match="dense eig reached"):
         asymmetric_eigenpairs(comp[:4, :4], 3)  # ARPACK needs rank < n - 1
@@ -147,7 +147,7 @@ def test_asymmetric_eigenpairs_ones_in_null_space(monkeypatch):
     mat = 50.0 * np.outer(u, u) + 30.0 * np.outer(v, v)
     assert np.allclose(mat @ np.ones(n), 0.0)
     w, vr, vl = dense_reference(mat, 2)
-    monkeypatch.setattr(scipy.linalg, "eig", no_dense_eig)
+    monkeypatch.setattr(np.linalg, "eig", no_dense_eig)
     dec = asymmetric_eigenpairs(mat, 2)
     assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
     assert np.abs(dec.right - vr).max() < 1e-8
@@ -165,11 +165,36 @@ def test_asymmetric_eigenpairs_dense_fallback_on_arpack_error(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     dec = asymmetric_eigenpairs(comp, 3)
-    assert calls == [3]
+    assert calls == [3, 3]
     w, vr, vl = dense_reference(comp, 3)
     assert np.allclose(dec.values, w, rtol=1e-14, atol=0)
     assert np.abs(dec.right - vr).max() < 1e-12
     assert np.abs(dec.left - vl).max() < 1e-12
+
+
+def test_asymmetric_eigenpairs_dense_left_after_arpack_error_on_transpose(monkeypatch):
+    # ARPACK gives the right pairs and numpy's eig of the transpose the left
+    comp = refine_composite(60, 14)
+    eigs, eig, dense = scipy.sparse.linalg.eigs, np.linalg.eig, []
+
+    def fails_on_transpose(mat, **kwargs):
+        if mat.flags.f_contiguous:
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                          np.empty((60, 0)))
+        return eigs(mat, **kwargs)
+
+    def recording_eig(mat):
+        dense.append(mat.flags.f_contiguous)
+        return eig(mat)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", fails_on_transpose)
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    dec = asymmetric_eigenpairs(comp, 3)
+    assert dense == [True]
+    w, vr, vl = dense_reference(comp, 3)
+    assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
+    assert np.abs(dec.right - vr).max() < 1e-8
+    assert np.abs(dec.left - vl).max() < 1e-8
 
 
 def test_asymmetric_eigenpairs_partial_rejects_complex_spectrum():
