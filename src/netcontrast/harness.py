@@ -417,14 +417,14 @@ _TWO_COPIES_NO_TAU = tuple(m for m in support.METHODS if m != "sdp-trunc")
 # tables {n: value}; a value the samplers would reject is a ConfigError here
 def _rule_at(what, expr, n_list, positive=False, **extra):
     """{n: expr at n}; an expr that does not evaluate, or that is not finite
-    and > 0 at some n when positive is set, is a ConfigError that names what."""
+    (and > 0 when positive is set) at some n, is a ConfigError naming what."""
     try:
         values = {n: eval_rule(expr, n=n, **extra) for n in n_list}
     except ConfigError as exc:
         raise ConfigError(f"{what}: {exc}") from None
     for n, val in values.items():
-        if positive and not 0 < val < math.inf:
-            raise ConfigError(f"{what} is not finite and > 0 at n={n}")
+        if not math.isfinite(val) or (positive and val <= 0):
+            raise ConfigError(f"{what} is not finite{' and > 0' if positive else ''} at n={n}")
     return values
 
 
@@ -434,7 +434,7 @@ def _m_rule(o, default, n_list, **extra):
     expr = o.get("m", default)
     sizes = _rule_at(f"rule m = {expr!r}", expr, n_list, **extra)
     for n, m in sizes.items():
-        if not (math.isfinite(m) and 1 <= round(m) < n):
+        if not 1 <= round(m) < n:
             raise ConfigError(f"rule m = {expr!r} gives m={m:g} at n={n}; "
                               "need 1 <= round(m) < n")
     return {n: int(round(m)) for n, m in sizes.items()}

@@ -14,7 +14,7 @@ import logging
 
 import numpy as np
 
-from .spectral import RankDecomposition, _average, _sign_fix, spectral_init
+from .spectral import RankDecomposition, _sign_fix, _top_eigenpairs, spectral_init
 
 logger = logging.getLogger(__name__)
 
@@ -87,31 +87,6 @@ def asymmetric_eigenpairs(mat, rank):
     return RankDecomposition(right=vr, left=vl, values=w)
 
 
-def _top_eigenpairs(mat, rank, symmetric=False):
-    """(values, vectors) of the top-rank eigenpairs of mat, by decreasing
-    magnitude.  For rank < n - 1 they come from ARPACK (eigsh when
-    symmetric, else eigs) started from a fixed seeded vector, so results
-    are deterministic; numpy's dense eigh or eig runs when ARPACK cannot
-    (rank >= n - 1) or raises an ArpackError."""
-    n = mat.shape[0]
-    pairs = None
-    if rank < n - 1:
-        # imported here: recover never reaches refine and need not load scipy
-        import scipy.sparse.linalg
-
-        solve = scipy.sparse.linalg.eigsh if symmetric else scipy.sparse.linalg.eigs
-        v0 = np.random.default_rng(0).standard_normal(n)
-        try:
-            pairs = solve(mat, k=rank, which="LM", v0=v0)
-        except scipy.sparse.linalg.ArpackError:
-            logger.debug("ARPACK failed; using the dense eigendecomposition", exc_info=True)
-    if pairs is None:
-        pairs = (np.linalg.eigh if symmetric else np.linalg.eig)(mat)
-    w, v = pairs
-    order = np.argsort(-np.abs(w), kind="stable")[:rank]
-    return w[order], v[:, order]
-
-
 def _overlaps(dec):
     ov = np.sum(dec.left * dec.right, axis=0)
     if np.any(np.abs(ov) < 1e-10):
@@ -169,17 +144,10 @@ def whitened_reconstruction(dec, psi):
 
 
 def spectral_baseline(mats, rank):
-    """Plain rank-r truncation of the (averaged) symmetric observations.
-
-    The top-rank pairs come from _top_eigenpairs on the mean; the dense
-    spectral_init runs for rank < 1 and rank >= n - 1.  Non-finite input and
-    a rank outside [0, n] raise ValueError.
-    """
-    mean = _average(mats)
-    if not 1 <= rank < mean.shape[0] - 1:
-        return spectral_init(mean, rank).reconstruct()
-    w, v = _top_eigenpairs(mean, rank, symmetric=True)
-    return reconstruct_symmetric(v, w)
+    """Plain rank-r truncation of the (averaged) symmetric observations: the
+    reconstruction of their spectral_init, whose ValueErrors (non-finite
+    input, a rank outside [0, n]) propagate."""
+    return spectral_init(mats, rank).reconstruct()
 
 
 ESTIMATORS = ("spec", "mhat1", "mhat2")

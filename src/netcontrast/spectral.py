@@ -7,6 +7,9 @@ import math
 import numpy as np
 
 C_SCREEN = 2.0          # default screening constant of select_low_coherence
+_KRYLOV_TOL = 1e-12     # _top_eigenpairs: Ritz residual bound, relative to |value|
+_KRYLOV_CHECK = 8       # steps between its checks of the Ritz pairs
+_KRYLOV_DIM = 120       # and the Krylov dimension past which it solves densely
 
 
 @dataclass
@@ -67,6 +70,53 @@ def _average(mats):
     return total
 
 
+def _top_eigenpairs(mat, rank, symmetric=False):
+    """(values, vectors) of the top-rank eigenpairs of the square mat, by
+    decreasing magnitude: Arnoldi (Lanczos when symmetric) with full
+    reorthogonalisation from a fixed seeded start.  Every _KRYLOV_CHECK
+    steps it keeps the top Ritz pairs once each has h[d, d-1] |s_last| <=
+    _KRYLOV_TOL |value|.  An exact breakdown (an invariant subspace) grows on
+    from a fresh seeded vector, so a repeated top value is not missed.
+    numpy's dense eigh or eig runs when no check passes by dimension
+    min(_KRYLOV_DIM, n - 1), and at once for a rank that does not fit below it."""
+    n = mat.shape[0]
+    dense = np.linalg.eigh if symmetric else np.linalg.eig
+    if rank == 0:
+        return np.zeros(0), np.zeros((n, 0))
+    dim = min(_KRYLOV_DIM, n - 1)
+    dim = dim if rank < dim else 0
+    rng = np.random.default_rng(0)
+    q = np.zeros((n, dim + 1))
+    h = np.zeros((dim + 1, dim))
+    # the seeded start's image (unless zero) keeps rows and columns mat zeroes at 0
+    start = rng.standard_normal(n)
+    image = mat @ start
+    q[:, 0] = image if image.any() else start
+    q[:, 0] /= np.linalg.norm(q[:, 0])
+    for d in range(1, dim + 1):
+        basis = q[:, :d]
+        w = mat @ q[:, d - 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            coef = basis.T @ w
+            w -= basis @ coef
+            h[:d, d - 1] += coef
+        h[d, d - 1] = np.linalg.norm(w)
+        if h[d, d - 1] <= _KRYLOV_TOL * np.linalg.norm(h[:d, d - 1]):
+            h[d, d - 1] = 0.0
+            w = rng.standard_normal(n)
+            w -= basis @ (basis.T @ w)
+            w -= basis @ (basis.T @ w)
+        if d >= rank and d % _KRYLOV_CHECK == 0:
+            theta, s = dense(h[:d, :d])
+            top = np.argsort(-np.abs(theta), kind="stable")[:rank]
+            if np.all(h[d, d - 1] * np.abs(s[-1, top]) <= _KRYLOV_TOL * np.abs(theta[top])):
+                return theta[top], basis @ s[:, top]
+        q[:, d] = w / np.linalg.norm(w)
+    w, v = dense(mat)
+    top = np.argsort(-np.abs(w), kind="stable")[:rank]
+    return w[top], v[:, top]
+
+
 def spectral_init(g0, rank):
     """Average the control group and keep the top-`rank` eigenpairs by |λ|.
 
@@ -87,11 +137,8 @@ def spectral_init(g0, rank):
     n = mean.shape[0]
     if not 0 <= rank <= n:
         raise ValueError(f"need 0 <= rank <= n, got rank={rank} at n={n}")
-    # rank 0 keeps no pair and skips the dense eigh
-    w, v = np.linalg.eigh(mean) if rank else (np.zeros(0), np.zeros((n, 0)))
-    order = np.argsort(-np.abs(w), kind="stable")[:rank]
-    vecs = _sign_fix(v[:, order].copy())
-    return RankDecomposition(right=vecs, left=vecs, values=w[order])
+    values, vecs = _top_eigenpairs(mean, rank, symmetric=True)
+    return RankDecomposition(right=_sign_fix(vecs), left=vecs, values=values)
 
 
 def select_low_coherence(dec, c_screen=C_SCREEN):

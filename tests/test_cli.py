@@ -68,17 +68,20 @@ def test_recover_sdp_finds_planted_support(dataset, tmp_path):
 
 
 def test_recover_does_not_load_arpack(tmp_path):
-    # scipy is only for the stage-3 ARPACK eigensolves; a fresh process is
-    # needed because other tests load scipy into this one
+    # no command loads scipy, not even the stage-3 eigensolves of refine; a
+    # fresh process is needed because other tests load scipy into this one
     script = (
         "import sys\n"
         "from netcontrast.cli import main\n"
         f"d = {str(tmp_path)!r}\n"
         "assert main(['generate', '--n', '40', '--r', '2', '--m', '3', '--sigma-b', '3',\n"
-        "             '--g0', '2', '--g1', '1', '--seed', '1', '--out-dir', d]) == 0\n"
+        "             '--g0', '3', '--g1', '1', '--seed', '1', '--out-dir', d]) == 0\n"
         "assert main(['recover', '--y1', d + '/y1_00.txt', '--y0', d + '/y0_00.txt',\n"
         "             d + '/y0_01.txt', '--rank', '2', '--m', '3', '--method', 'sdp',\n"
         "             '--out', d + '/rec.json']) == 0\n"
+        "assert main(['refine', '--y1', d + '/y1_00.txt', '--y0', d + '/y0_00.txt',\n"
+        "             d + '/y0_01.txt', d + '/y0_02.txt', '--rank', '2', '--refine', 'all',\n"
+        "             '--out', d + '/ref.json']) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = str(Path(netcontrast.__file__).resolve().parents[1])
@@ -88,6 +91,8 @@ def test_recover_does_not_load_arpack(tmp_path):
                          text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
     assert json.loads((tmp_path / "rec.json").read_text())["support"]
+    estimators = json.loads((tmp_path / "ref.json").read_text())["estimators"]
+    assert sorted(m for m, e in estimators.items() if e["ok"]) == ["mhat1", "mhat2", "spec"]
 
 
 def test_recover_other_methods_agree(dataset, tmp_path):

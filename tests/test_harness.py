@@ -445,7 +445,7 @@ def test_refine_preset_points_respect_sampler_cap():
     ({"preset": "exp-eigengap"}, r"exp-eigengap mu at n=60"),
     ({"preset": "exp-snr", "n": "10", "params": "2.0"}, "gives m=10 at n=10"),
     ({"preset": "exp-snr", "m": "0.4"}, "gives m=0.4 at n=60"),
-    ({"preset": "exp-snr", "m": "1e308 * 10"}, "gives m=inf at n=60"),
+    ({"preset": "exp-snr", "m": "1e308 * 10"}, r"rule m = '1e308 \* 10' is not finite at n=60"),
     ({"preset": "exp-multicopy", "n": "3"}, r"rule m = 'ceil\(2\*log\(n\)\)' gives m=3 at n=3"),
     ({"preset": "exp-heavytail", "n": "3"}, "gives m=3 at n=3"),
     ({"preset": "exp-coherence", "n": "10", "params": "mu=1|screen=on"}, "gives m=10 at n=10"),
@@ -463,6 +463,14 @@ def test_refine_preset_points_respect_sampler_cap():
      r"exp-snr point '-1\.0': rule sigma_b = .* is not finite and > 0 at n=60"),
     ({"preset": "exp-multicopy", "params": "-2"}, "exp-multicopy point '-2': rule sigma_b"),
     ({"preset": "exp-snr", "eigenvalues": "two"}, "rule eigenvalues = 'two'"),
+    ({"preset": "exp-snr", "eigenvalues": "1e308*10"},
+     r"rule eigenvalues = '1e308\*10' is not finite at n=60"),
+    ({"preset": "exp-coherence", "params": "mu=1|screen=on", "eigenvalues": "1e308*10"},
+     r"rule eigenvalues = '1e308\*10' is not finite at n=60"),
+    ({"preset": "exp-refine", "params": "mu=2|lmin=1e308*10"},
+     r"exp-refine point 'mu=2\|lmin=1e308\*10' is not finite at n=60"),
+    ({"preset": "exp-eigengap", "n": "300", "params": "1e308*10"},
+     r"exp-eigengap point '1e308\*10' is not finite at n=300"),
     ({"preset": "exp-eigengap", "n": "300", "params": "abc"}, "exp-eigengap point 'abc'"),
     ({"preset": "exp-coherence", "params": "mu=1|screen=maybe"},
      r"point 'mu=1\|screen=maybe': screen expects a boolean, got 'maybe'"),
@@ -478,7 +486,9 @@ def test_refine_preset_points_respect_sampler_cap():
         "exp-path-m", "exp-snr-c_screen-0", "exp-snr-c_screen-abc", "exp-coherence-c_screen-inf",
         "exp-snr-r-0", "exp-snr-r-two", "exp-coherence-r-two", "exp-refine-r-two",
         "exp-snr-C-abc", "exp-snr-C-negative", "exp-multicopy-C-negative",
-        "exp-snr-eigenvalues-two", "exp-eigengap-ratio-abc", "exp-coherence-screen-maybe",
+        "exp-snr-eigenvalues-two", "exp-snr-eigenvalues-inf", "exp-coherence-eigenvalues-inf",
+        "exp-refine-lmin-inf", "exp-eigengap-ratio-inf", "exp-eigengap-ratio-abc",
+        "exp-coherence-screen-maybe",
         "exp-coherence-field-typo", "exp-refine-lmin-abc", "exp-path-label",
         "repeated-point", "repeated-method"])
 def test_presets_reject_points_the_samplers_reject(over, match):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from netcontrast import refine
 from netcontrast.model import GroundTruth, sample_incoherent_basis
@@ -18,7 +17,7 @@ from netcontrast.refine import (
     spectral_baseline,
     whitened_reconstruction,
 )
-from netcontrast.spectral import _average, _sign_fix, spectral_init
+from netcontrast.spectral import _average, _sign_fix
 
 
 def rng_of(seed):
@@ -102,8 +101,30 @@ def dense_reference(mat, rank):
     return w, vr, vl
 
 
-def no_dense_eig(*args, **kwargs):
-    raise AssertionError("dense eig reached")
+def dense_sizes(monkeypatch, name):
+    """Record the size of every matrix that np.linalg.<name> decomposes: the
+    n x n one is the dense solve, smaller ones are the Krylov basis's."""
+    sizes, solve = [], getattr(np.linalg, name)
+
+    def recording(mat, *args, **kwargs):
+        sizes.append(np.shape(mat)[0])
+        return solve(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return sizes
+
+
+def clustered(n, seed, symmetric=False):
+    # half the spectrum within 1e-6 of 10 and the rest in [-1, 1]: no gap
+    # after the top values that the Krylov basis can resolve by its cap
+    rng = rng_of(seed)
+    vals = np.concatenate([10.0 + 1e-6 * np.linspace(1.0, 0.0, n // 2),
+                           rng.uniform(-1.0, 1.0, n - n // 2)])
+    if symmetric:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q * vals) @ q.T
+    s = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return (s * vals) @ np.linalg.inv(s)
 
 
 def refine_copies(n, seed, count=4):
@@ -132,69 +153,68 @@ def test_asymmetric_eigenpairs_partial_matches_dense():
 def test_asymmetric_eigenpairs_skips_dense_solve_below_n_minus_one(monkeypatch):
     comp = refine_composite(40, 13)
     w, vr, _ = dense_reference(comp, 3)
-    monkeypatch.setattr(np.linalg, "eig", no_dense_eig)
+    sizes = dense_sizes(monkeypatch, "eig")
     assert np.allclose(asymmetric_eigenpairs(comp, 3).values, w, rtol=1e-10, atol=0)
-    with pytest.raises(AssertionError, match="dense eig reached"):
-        asymmetric_eigenpairs(comp[:4, :4], 3)  # ARPACK needs rank < n - 1
+    assert sizes and max(sizes) < 40
+    asymmetric_eigenpairs(comp[:4, :4], 3)  # the Krylov basis needs rank < n - 1
+    assert sizes[-2:] == [4, 4]
 
 
 def test_asymmetric_eigenpairs_ones_in_null_space(monkeypatch):
-    # a start vector of ones lies in the null space here and stalls ARPACK,
-    # so the seeded start must find the pairs without the dense fallback
+    # the Krylov basis of this rank-2 matrix breaks down at dimension 2, and
+    # the Ritz pairs of that invariant subspace are exact: no dense solve.
+    # All entries tie in magnitude, so the sign convention is moot: each
+    # right and left pair is compared up to one sign
     n = 48
     u = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / np.sqrt(n)
     v = np.where(np.arange(n) % 4 < 2, 1.0, -1.0) / np.sqrt(n)
     mat = 50.0 * np.outer(u, u) + 30.0 * np.outer(v, v)
     assert np.allclose(mat @ np.ones(n), 0.0)
     w, vr, vl = dense_reference(mat, 2)
-    monkeypatch.setattr(np.linalg, "eig", no_dense_eig)
+    sizes = dense_sizes(monkeypatch, "eig")
     dec = asymmetric_eigenpairs(mat, 2)
+    assert n not in sizes
     assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
-    assert np.abs(dec.right - vr).max() < 1e-8
-    assert np.abs(dec.left - vl).max() < 1e-8
+    sign = np.sign(np.sum(dec.right * vr, axis=0))
+    assert np.abs(dec.right * sign - vr).max() < 1e-8
+    assert np.abs(dec.left * sign - vl).max() < 1e-8
 
 
-def test_asymmetric_eigenpairs_dense_fallback_on_arpack_error(monkeypatch):
-    comp = refine_composite(60, 14)
-    calls = []
-
-    def no_convergence(*args, **kwargs):
-        calls.append(kwargs["k"])
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
-                                                      np.empty((60, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
-    dec = asymmetric_eigenpairs(comp, 3)
-    assert calls == [3, 3]
-    w, vr, vl = dense_reference(comp, 3)
-    assert np.allclose(dec.values, w, rtol=1e-14, atol=0)
-    assert np.abs(dec.right - vr).max() < 1e-12
-    assert np.abs(dec.left - vl).max() < 1e-12
+def test_asymmetric_eigenpairs_dense_fallback_without_gap(monkeypatch):
+    # no check passes by the Krylov cap, so each side runs numpy's dense eig
+    n = 200
+    mat = clustered(n, 14)
+    w, _, _ = dense_reference(mat, 3)
+    sizes = dense_sizes(monkeypatch, "eig")
+    dec = asymmetric_eigenpairs(mat, 3)
+    assert sizes.count(n) == 2
+    assert np.allclose(dec.values, w, rtol=1e-12, atol=0)
+    assert np.abs(mat @ dec.right - dec.right * dec.values).max() < 1e-10
+    assert np.abs(mat.T @ dec.left - dec.left * dec.values).max() < 1e-10
 
 
-def test_asymmetric_eigenpairs_dense_left_after_arpack_error_on_transpose(monkeypatch):
-    # ARPACK gives the right pairs and numpy's eig of the transpose the left
-    comp = refine_composite(60, 14)
-    eigs, eig, dense = scipy.sparse.linalg.eigs, np.linalg.eig, []
+def span_projector(vecs):
+    q, _ = np.linalg.qr(vecs)
+    return q @ q.T
 
-    def fails_on_transpose(mat, **kwargs):
-        if mat.flags.f_contiguous:
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
-                                                          np.empty((60, 0)))
-        return eigs(mat, **kwargs)
 
-    def recording_eig(mat):
-        dense.append(mat.flags.f_contiguous)
-        return eig(mat)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", fails_on_transpose)
-    monkeypatch.setattr(np.linalg, "eig", recording_eig)
-    dec = asymmetric_eigenpairs(comp, 3)
-    assert dense == [True]
-    w, vr, vl = dense_reference(comp, 3)
+def test_asymmetric_eigenpairs_near_tied_top_pair_matches_dense(monkeypatch):
+    # top values 10 and 10 (1 - 1e-6) over a bulk in [-1, 1]: each side's
+    # vectors within the tied pair are fixed only to residual / gap, so the
+    # pair is compared by the subspaces that it spans
+    n = 300
+    rng = rng_of(22)
+    vals = np.concatenate([[10.0, 10.0 * (1 - 1e-6), 6.0], rng.uniform(-1.0, 1.0, n - 3)])
+    s = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    mat = (s * vals) @ np.linalg.inv(s)
+    w, vr, vl = dense_reference(mat, 3)
+    sizes = dense_sizes(monkeypatch, "eig")
+    dec = asymmetric_eigenpairs(mat, 3)
+    assert n not in sizes
     assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
-    assert np.abs(dec.right - vr).max() < 1e-8
-    assert np.abs(dec.left - vl).max() < 1e-8
+    for got, want in ((dec.right, vr), (dec.left, vl)):
+        assert np.abs(span_projector(got[:, :2]) - span_projector(want[:, :2])).max() < 1e-10
+        assert np.abs(got[:, 2] - want[:, 2]).max() < 1e-10
 
 
 def test_asymmetric_eigenpairs_partial_rejects_complex_spectrum():
@@ -226,13 +246,13 @@ def test_asymmetric_eigenpairs_pairs_values_tied_in_magnitude():
 
 def test_asymmetric_eigenpairs_rejects_unpaired_left_values(monkeypatch):
     # the left solve (on the transpose) reports other values than the right one
-    eigs = scipy.sparse.linalg.eigs
+    top = refine._top_eigenpairs
 
-    def shifted_on_transpose(mat, **kwargs):
-        w, v = eigs(mat, **kwargs)
+    def shifted_on_transpose(mat, rank):
+        w, v = top(mat, rank)
         return (w + 1.0 if mat.flags.f_contiguous else w), v
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", shifted_on_transpose)
+    monkeypatch.setattr(refine, "_top_eigenpairs", shifted_on_transpose)
     with pytest.raises(np.linalg.LinAlgError, match="do not pair"):
         asymmetric_eigenpairs(refine_composite(40, 15), 3)
 
@@ -347,19 +367,12 @@ def dense_truncation(mats, rank):
     return (vecs[:, order] * vals[order]) @ vecs[:, order].T
 
 
-def no_dense_eigh(*args, **kwargs):
-    raise AssertionError("dense eigh reached")
-
-
-def no_arpack(*args, **kwargs):
-    raise AssertionError("ARPACK reached")
-
-
 def test_spectral_baseline_partial_matches_dense(monkeypatch):
     copies = refine_copies(200, 16)
     ref = dense_truncation(copies, 3)
-    monkeypatch.setattr(np.linalg, "eigh", no_dense_eigh)
+    sizes = dense_sizes(monkeypatch, "eigh")
     est = spectral_baseline(copies, 3)
+    assert sizes and 200 not in sizes
     assert np.abs(est - ref).max() < 1e-10 * np.abs(ref).max()
     assert np.array_equal(est, est.T)
 
@@ -370,36 +383,34 @@ def test_spectral_baseline_partial_on_masked_views(monkeypatch):
     sup = [3, 17, 24, 41]
     masked = [mask_support(y, sup) for y in refine_copies(60, 17, count=6)]
     ref = dense_truncation(masked, 3)
-    monkeypatch.setattr(np.linalg, "eigh", no_dense_eigh)
+    sizes = dense_sizes(monkeypatch, "eigh")
     est = spectral_baseline(masked, 3)
+    assert sizes and 60 not in sizes
     assert np.abs(est - ref).max() < 1e-10 * np.abs(ref).max()
     assert np.all(est[sup, :] == 0) and np.all(est[:, sup] == 0)
 
 
-def test_spectral_baseline_dense_fallback_on_arpack_error(monkeypatch):
-    copies = refine_copies(60, 18)
-    calls = []
-
-    def no_convergence(*args, **kwargs):
-        calls.append(kwargs["k"])
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
-                                                      np.empty((60, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    est = spectral_baseline(copies, 3)
-    assert calls == [3]
-    assert np.array_equal(est, spectral_init(copies, 3).reconstruct())
+def test_spectral_baseline_dense_fallback_without_gap(monkeypatch):
+    mat = clustered(200, 18, symmetric=True)
+    ref = dense_truncation([mat], 3)
+    sizes = dense_sizes(monkeypatch, "eigh")
+    est = spectral_baseline(mat, 3)
+    assert sizes.count(200) == 1
+    assert np.abs(est - ref).max() < 1e-12 * np.abs(ref).max()
 
 
-def test_spectral_baseline_dense_solve_outside_arpack_range(monkeypatch):
-    # ARPACK needs 1 <= rank < n - 1; rank n - 1, rank n and rank 0 are dense
+def test_spectral_baseline_dense_solve_at_rank_n_minus_one_and_above(monkeypatch):
+    # the Krylov basis needs 1 <= rank < n - 1; rank n - 1 and n are dense,
+    # rank 0 decomposes nothing
     copies = refine_copies(60, 19)
     small = [y[:5, :5] for y in copies]
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack)
-    for rank in (4, 5):
+    refs = {rank: dense_truncation(small, rank) for rank in (4, 5)}
+    sizes = dense_sizes(monkeypatch, "eigh")
+    for rank, ref in refs.items():
         est = spectral_baseline(small, rank)
-        assert np.abs(est - dense_truncation(small, rank)).max() < 1e-12 * np.abs(est).max()
+        assert np.abs(est - ref).max() < 1e-12 * np.abs(est).max()
     assert np.array_equal(spectral_baseline(copies, 0), np.zeros((60, 60)))
+    assert sizes == [5, 5]
     with pytest.raises(ValueError, match="rank"):
         spectral_baseline(copies, 61)
 

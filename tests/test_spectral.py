@@ -11,6 +11,7 @@ from netcontrast.model import (
 )
 from netcontrast.spectral import (
     RankDecomposition,
+    _sign_fix,
     estimate_noise_scale,
     form_residual,
     select_low_coherence,
@@ -243,3 +244,76 @@ def test_stage_one_gives_no_tau_without_quiet_rows():
         estimate_noise_scale(y, spectral_init(y, n))
     resids, kept, tau = stage_one([y], [y], n, c_screen=None)
     assert tau is None and kept is None and resids[0].shape == (n, n)
+
+
+def dense_top(y, rank):
+    # numpy's dense eigh, top rank by magnitude, with spectral_init's signs
+    w, v = np.linalg.eigh(y)
+    top = np.argsort(-np.abs(w), kind="stable")[:rank]
+    return w[top], _sign_fix(v[:, top])
+
+
+def dense_sizes(monkeypatch):
+    # the size of every matrix that np.linalg.eigh decomposes
+    sizes, eigh = [], np.linalg.eigh
+
+    def recording(mat, *args, **kwargs):
+        sizes.append(mat.shape[0])
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("rank", [0, 1, 3, 399, 400])
+def test_spectral_init_matches_dense_eigh(monkeypatch, rank):
+    # ranks 1 and 3 come from the Krylov basis, n - 1 and n from the dense solve
+    n = 400
+    gt, rng = planted(n, 3, np.log(n), 9)
+    y = gt.shared_matrix() + sample_noise(n, NoiseSpec(family="gaussian-iid", sigma=1.0), rng)
+    w, v = dense_top(y, rank)
+    sizes = dense_sizes(monkeypatch)
+    dec = spectral_init(y, rank)
+    assert (n in sizes) == (rank >= n - 1)
+    assert dec.right.shape == (n, rank)
+    assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
+    ref = (v * w) @ v.T
+    assert np.abs(dec.reconstruct() - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_spectral_init_matches_dense_at_coherence_point():
+    # exp-coherence's mu = n^0.75 point: n = 500, r = 3, one control
+    n = 500
+    gt, rng = planted(n, 3, n ** 0.75, 10)
+    y = gt.shared_matrix() + sample_noise(n, NoiseSpec(family="gaussian-iid", sigma=1.0), rng)
+    w, v = dense_top(y, 3)
+    dec = spectral_init(y, 3)
+    assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
+    assert np.abs(dec.right - v).max() < 1e-10
+
+
+def test_spectral_init_matches_dense_on_near_tied_top_pair():
+    # top values 10 and 10 (1 - 1e-6) over a bulk in [-1, 1]: the vectors of
+    # the pair are fixed only to residual / gap, its reconstruction to 1e-10
+    n = 300
+    rng = rng_of(11)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.concatenate([[10.0, 10.0 * (1 - 1e-6), 6.0], rng.uniform(-1.0, 1.0, n - 3)])
+    y = (q * vals) @ q.T
+    w, v = dense_top(y, 3)
+    dec = spectral_init(y, 3)
+    assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
+    assert np.abs(dec.reconstruct() - (v * w) @ v.T).max() < 1e-10 * 10.0
+
+
+def test_spectral_init_finds_a_repeated_top_value(monkeypatch):
+    # exact rank 3 with values 5, 5, 3: the Krylov basis breaks down before
+    # it holds both 5-vectors, and grows on from a fresh vector to find them
+    n = 50
+    q, _ = np.linalg.qr(rng_of(12).standard_normal((n, 3)))
+    y = (q * [5.0, 5.0, 3.0]) @ q.T
+    sizes = dense_sizes(monkeypatch)
+    dec = spectral_init(y, 2)
+    assert n not in sizes
+    assert np.allclose(dec.values, [5.0, 5.0], rtol=1e-12, atol=0)
+    assert np.abs(dec.reconstruct() - 5.0 * q[:, :2] @ q[:, :2].T).max() < 1e-12
