@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from netcontrast import refine
+from netcontrast import refine, spectral
 from netcontrast.model import GroundTruth, sample_incoherent_basis
 from netcontrast.refine import (
     ESTIMATORS,
@@ -191,6 +191,49 @@ def test_asymmetric_eigenpairs_dense_fallback_without_gap(monkeypatch):
     assert np.allclose(dec.values, w, rtol=1e-12, atol=0)
     assert np.abs(mat @ dec.right - dec.right * dec.values).max() < 1e-10
     assert np.abs(mat.T @ dec.left - dec.left * dec.values).max() < 1e-10
+
+
+def test_asymmetric_eigenpairs_dense_fallback_on_arpack_error(monkeypatch):
+    # the iterative solve gives up on both sides (ARPACK's no-convergence
+    # error once, now a Krylov basis that runs to its cap without a check),
+    # so each side runs numpy's dense eig
+    comp = refine_composite(60, 14)
+    monkeypatch.setattr(spectral, "_KRYLOV_CHECK", 10 ** 9)
+    sizes = dense_sizes(monkeypatch, "eig")
+    dec = asymmetric_eigenpairs(comp, 3)
+    assert sizes.count(60) == 2
+    w, vr, vl = dense_reference(comp, 3)
+    assert np.allclose(dec.values, w, rtol=1e-14, atol=0)
+    assert np.abs(dec.right - vr).max() < 1e-12
+    assert np.abs(dec.left - vl).max() < 1e-12
+
+
+def test_asymmetric_eigenpairs_dense_left_after_arpack_error_on_transpose(monkeypatch):
+    # the iterative solve gives the right pairs and gives up on the transpose
+    # only, whose left pairs then come from numpy's dense eig
+    comp = refine_composite(60, 14)
+    top, eig, dense = refine._top_eigenpairs, np.linalg.eig, []
+
+    def fails_on_transpose(mat, rank):
+        if not mat.flags.f_contiguous:
+            return top(mat, rank)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_KRYLOV_CHECK", 10 ** 9)
+            return top(mat, rank)
+
+    def recording_eig(mat):
+        if mat.shape[0] == 60:
+            dense.append(mat.flags.f_contiguous)
+        return eig(mat)
+
+    monkeypatch.setattr(refine, "_top_eigenpairs", fails_on_transpose)
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    dec = asymmetric_eigenpairs(comp, 3)
+    assert dense == [True]
+    w, vr, vl = dense_reference(comp, 3)
+    assert np.allclose(dec.values, w, rtol=1e-10, atol=0)
+    assert np.abs(dec.right - vr).max() < 1e-8
+    assert np.abs(dec.left - vl).max() < 1e-8
 
 
 def span_projector(vecs):
