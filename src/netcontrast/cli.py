@@ -3,7 +3,7 @@
 Subcommands: generate (synthetic observation sets), recover (node-support
 recovery on matrices from disk), refine (low-rank refinement given a
 support), experiment (preset/config Monte-Carlo sweeps to CSV), oracle
-(exhaustive least-squares support search for small matrices).
+(exhaustive least-squares support search, as recover --method lse).
 
 Exit codes: 0 success, 1 configuration/usage error, 2 solver
 non-convergence (or total estimator failure) in single-shot modes.
@@ -115,7 +115,6 @@ def _build_parser():
     o = sub.add_parser("oracle", help="exhaustive least-squares support search")
     o.add_argument("--matrix", required=True)
     o.add_argument("--m", type=int, required=True)
-    o.add_argument("--limit", type=int, default=16)
     o.add_argument("--out", default=None)
     o.set_defaults(func=_cmd_oracle)
 
@@ -135,11 +134,7 @@ def _cmd_generate(args):
     n, r = args.n, args.r
 
     def rule(flag, expr, **extra):
-        # inf and NaN pass some samplers' range checks and break int(round())
-        value = harness.eval_rule(expr, n=n, r=r, **extra)
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} {expr!r} gives {value}, not a finite number")
-        return value
+        return harness._rule_at(flag, expr, [n], r=r, **extra)[n]
 
     mu = rule("--mu", args.mu)
     m = int(round(rule("--m", args.m)))
@@ -176,8 +171,7 @@ def _cmd_generate(args):
                   "sigma_min": noise.sigma_min, "sigma_max": noise.sigma_max},
         "g0": args.g0, "g1": args.g1, "shared": args.shared, "seed": args.seed,
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+    _emit_json(meta, out / "meta.json")
     print(f"wrote {args.g0} control and {args.g1} treatment matrices to {out}")
     return 0
 
@@ -225,11 +219,13 @@ def _cmd_recover(args):
         if tau is None:
             raise ConfigError("--m-auto needs a noise-scale estimate")
         m0 = m if m is not None else int(math.ceil(2 * math.log(nt)))
-        sel = support.select_m(spectral._average(resids), tau, m0, c_thresh=args.c_thresh,
-                               opts=opts, rng=rng)
+        try:
+            sel = support.select_m(spectral._average(resids), tau, m0,
+                                   c_thresh=args.c_thresh, opts=opts, rng=rng)
+        except ValueError as exc:
+            raise ConfigError(f"--m-auto: {exc}") from None
         m = sel.m
-        record["m_auto"] = {"m": int(sel.m), "converged": sel.converged,
-                            "steps": sel.steps}
+        record["m_auto"] = dict(vars(sel))
     if m is None:
         raise ConfigError("either --m or --m-auto is required")
     record["m"] = int(m)
@@ -241,14 +237,8 @@ def _cmd_recover(args):
         raise ConfigError(f"--method {args.method}: {exc}") from None
     converged = (sol is None or sol.converged) and (sel is None or sel.converged)
     if isinstance(sol, support.SdpSolution):
-        record["sdp"] = {"objective": sol.objective,
-                         "trace_residual": sol.trace_residual,
-                         "sum_residual": sol.sum_residual,
-                         "iterations": sol.iterations,
-                         "total_iterations": sol.total_iterations,
-                         "matvecs": sol.matvecs,
-                         "lambda_min": sol.lambda_min,
-                         "converged": sol.converged}
+        # the scalar fields: a new SdpSolution field is a new output key
+        record["sdp"] = {k: v for k, v in vars(sol).items() if not isinstance(v, np.ndarray)}
     record["support"] = [int(i) for i in indices]
     record["converged"] = bool(converged)
     _emit_json(record, args.out)
@@ -344,23 +334,13 @@ def _cmd_experiment(args):
 
 
 def _cmd_oracle(args):
+    [[mat]] = _read_matrices([args.matrix])
     try:
-        mat = matio.read_matrix(args.matrix)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        idx = support.exhaustive_support(mat, args.m, limit=args.limit)
+        idx, _ = support.recover("lse", mat, args.m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    comp = np.setdiff1d(np.arange(mat.shape[0]), idx)
-    block = mat[np.ix_(comp, comp)] ** 2
-    record = {
-        "n": int(mat.shape[0]),
-        "m": int(args.m),
-        "support": [int(i) for i in idx],
-        "complement_energy": 0.5 * (float(block.sum()) + float(np.trace(block))),
-    }
-    _emit_json(record, args.out)
+    _emit_json({"n": mat.shape[0], "m": args.m, "support": [int(i) for i in idx],
+                "complement_energy": support.complement_energy(mat, idx)}, args.out)
     return 0
 
 

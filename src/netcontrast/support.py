@@ -25,6 +25,7 @@ from .spectral import _average
 logger = logging.getLogger(__name__)
 C_THRESH = 1.0          # default slack constant of select_m
 _M_STEPS = 20           # step cap of select_m's walk
+_EXHAUSTIVE_MAX = math.comb(16, 8)  # most supports exhaustive_support scores: any m at n <= 16
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +313,31 @@ def hard_threshold(residual, m):
     return np.sort(order[:m])
 
 
-def exhaustive_support(residual, m, limit=16):
-    """Exact minimizer of the complement upper-triangle energy over all
-    size-m supports; lexicographically smallest on exact ties.  Guarded to
-    n <= limit."""
+def complement_energy(residual, support):
+    """Energy of the residual off the support: the sum of Y_ij^2 over the
+    upper triangle, diagonal included, of the complement block."""
+    residual = np.asarray(residual, dtype=float)
+    comp = np.setdiff1d(np.arange(residual.shape[0]), support)
+    block = residual[np.ix_(comp, comp)] ** 2
+    return 0.5 * (float(block.sum()) + float(np.trace(block)))
+
+
+def exhaustive_support(residual, m):
+    """Exact minimizer of complement_energy over all size-m supports;
+    lexicographically smallest on exact ties.  A search over more than
+    _EXHAUSTIVE_MAX supports raises ValueError."""
     residual = np.asarray(residual, dtype=float)
     nt = residual.shape[0]
-    if nt > limit:
-        raise ValueError(f"exhaustive search limited to n <= {limit}, got {nt}")
     if not 1 <= m < nt:
         raise ValueError(f"need 1 <= m < n, got m={m}")
-    sq = residual * residual
-    nodes = np.arange(nt)
+    count = math.comb(nt, m)
+    if count > _EXHAUSTIVE_MAX:
+        raise ValueError(f"exhaustive search over C(n={nt}, m={m}) = {count:.3g} supports; "
+                         f"the limit is {_EXHAUSTIVE_MAX}")
     best = None
     best_val = math.inf
     for combo in itertools.combinations(range(nt), m):
-        comp = np.setdiff1d(nodes, combo)
-        block = sq[np.ix_(comp, comp)]
-        val = 0.5 * (float(block.sum()) + float(np.trace(block)))
+        val = complement_energy(residual, combo)
         if val < best_val:
             best_val = val
             best = combo
@@ -369,6 +377,8 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None):
     nt = residual.shape[0]
     if sigma_hat <= 0:
         raise ValueError("sigma_hat must be positive")
+    if nt < 3:
+        raise ValueError(f"the walk over m in [1, n - 2] needs n >= 3 nodes, got n={nt}")
     sq = residual * residual
     cache = {}
 

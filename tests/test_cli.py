@@ -61,6 +61,9 @@ def test_recover_sdp_finds_planted_support(dataset, tmp_path):
     assert rec["converged"] is True
     assert rec["sdp"]["trace_residual"] <= 1e-6 * (rec["kept_count"] - 4)
     sdp = rec["sdp"]
+    # the block is SdpSolution's scalar fields: a new field is a new output key
+    assert set(sdp) == {"objective", "trace_residual", "sum_residual", "iterations",
+                        "total_iterations", "matvecs", "lambda_min", "converged"}
     assert 0 < sdp["iterations"] <= sdp["total_iterations"] <= sdp["matvecs"]
     # converged means certified: S = C + y1 I + y2 J is positive semidefinite
     assert sdp["converged"] is True and sdp["lambda_min"] >= -support._CERT_TOL
@@ -139,6 +142,8 @@ def with_small_matrix(flags, tmp_path):
     ["--mu", "'x'"], ["--mu", "[1]"],
     ["--rank", "-1"], ["--rank", "61"], ["--c-screen", "0"],
     ["--y0", "{small}"], ["--gl-tol", "0"], ["--gl-tol", "-1"],
+    # screening keeps 2 nodes, then 1: too few for the walk over m in [1, n - 2]
+    ["--m-auto", "--c-screen", "0.1"], ["--m-auto", "--c-screen", "0.07"],
 ])
 def test_recover_bad_settings_exit_one(dataset, tmp_path, capsys, flags):
     flags = with_small_matrix(flags, tmp_path)
@@ -199,6 +204,7 @@ def test_recover_m_auto(dataset, tmp_path):
     assert rc == 0
     assert rec["m_auto"]["converged"] is True and rec["converged"] is True
     assert rec["m_auto"]["m"] == rec["m"]
+    assert set(rec["m_auto"]) == {"m", "converged", "steps"}
     assert set(meta["supports"][0]) <= set(rec["support"]) or rec["m"] <= 4
 
 
@@ -345,7 +351,7 @@ def test_refine_bad_input_exit_one(dataset, tmp_path, capsys, flags):
     assert out == "" and err.startswith("error: ")
 
 
-def test_oracle_matches_support(tmp_path):
+def test_oracle_matches_support(tmp_path, capsys):
     rng = np.random.default_rng(3)
     from netcontrast.model import sample_node_sparse
 
@@ -358,7 +364,36 @@ def test_oracle_matches_support(tmp_path):
     rec = json.loads(out.read_text())
     assert rec["support"] == [int(i) for i in sup]
     assert rec["complement_energy"] == pytest.approx(0.0, abs=1e-20)
-    assert main(["oracle", "--matrix", str(path), "--m", "2", "--limit", "10"]) == 1
+    # a search over more supports than the bound, C(40, 20), is a usage error
+    big = tmp_path / "big.txt"
+    write_matrix(big, np.eye(40))
+    capsys.readouterr()
+    assert main(["oracle", "--matrix", str(big), "--m", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_oracle_agrees_with_recover_lse(tmp_path):
+    # one search behind both commands: the same support on a noisy matrix, and
+    # oracle's energy is the least-squares objective at that support
+    from netcontrast.model import sample_node_sparse
+
+    rng = np.random.default_rng(5)
+    b, _ = sample_node_sparse(12, 2, 3.0, rng)
+    noise = rng.standard_normal((12, 12))
+    path = tmp_path / "y.txt"
+    write_matrix(path, b + 0.3 * (noise + noise.T))
+    y = read_matrix(path)
+    assert main(["oracle", "--matrix", str(path), "--m", "2",
+                 "--out", str(tmp_path / "oracle.json")]) == 0
+    assert main(["recover", "--y1", str(path), "--method", "lse", "--rank", "0", "--m", "2",
+                 "--no-screen", "--out", str(tmp_path / "lse.json")]) == 0
+    rec = json.loads((tmp_path / "oracle.json").read_text())
+    assert rec["support"] == json.loads((tmp_path / "lse.json").read_text())["support"]
+    comp = np.setdiff1d(np.arange(12), rec["support"])
+    block = y[np.ix_(comp, comp)]
+    upper = np.triu(block * block)
+    assert rec["complement_energy"] == pytest.approx(float(upper.sum()), rel=1e-12)
 
 
 def test_experiment_cli_roundtrip(tmp_path):

@@ -336,7 +336,7 @@ def test_every_sdp_solve_of_a_preset_run_is_certified(monkeypatch):
 def test_sdp_matches_exhaustive_noiseless():
     resid, sup = planted_residual(30, 3, 1.0, 8)
     sdp_est = extract_support(solve_sdp(build_cost(resid), 3), 3)
-    lse_est = exhaustive_support(resid, 3, limit=30)
+    lse_est = exhaustive_support(resid, 3)
     assert np.array_equal(sdp_est, sup)
     assert np.array_equal(lse_est, sup)
 
@@ -370,8 +370,13 @@ def test_hard_threshold_picks_largest_rows():
 
 
 def test_exhaustive_limit_guard():
-    with pytest.raises(ValueError):
-        exhaustive_support(np.zeros((17, 17)), 2)
+    # the guard counts supports, not nodes: C(17, 2) = 136 runs, and the
+    # least n at which C(n, 2) is above the bound is refused
+    assert np.array_equal(exhaustive_support(np.zeros((17, 17)), 2), [0, 1])
+    assert math.comb(16, 8) <= support._EXHAUSTIVE_MAX < math.comb(40, 20)
+    n = next(n for n in range(3, 10**6) if math.comb(n, 2) > support._EXHAUSTIVE_MAX)
+    with pytest.raises(ValueError, match="exhaustive search over"):
+        exhaustive_support(np.zeros((n, n)), 2)
 
 
 def test_exhaustive_lex_smallest_on_ties():
@@ -392,6 +397,7 @@ def test_exhaustive_objective_is_complement_energy():
     import itertools
     vals = {c: energy(c) for c in itertools.combinations(range(8), 2)}
     assert energy(tuple(est)) == min(vals.values())
+    assert all(support.complement_energy(y, c) == v for c, v in vals.items())
 
 
 def test_false_negative_rate_values():
