@@ -4,8 +4,8 @@ between two groups of symmetric weighted networks.
 The pipeline has three stages: a spectral initialization of the shared
 matrix from the control group, support recovery of the perturbed nodes from
 treatment residuals (SDP relaxation, group lasso, hard thresholding, or an
-exhaustive oracle), and a debiased low-rank refinement built on asymmetric
-eigen-decompositions of spliced independent views.
+exhaustive least-squares search), and a debiased low-rank refinement built on
+asymmetric eigen-decompositions of spliced independent views.
 """
 
 from .matio import read_matrix, write_matrix

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate (synthetic observation sets), recover (node-support
-recovery on matrices from disk), refine (low-rank refinement given a
-support), experiment (preset/config Monte-Carlo sweeps to CSV), oracle
-(exhaustive least-squares support search, as recover --method lse).
+recovery on matrices from disk; --method lse is the exhaustive search),
+refine (low-rank refinement given a support), experiment (preset/config
+Monte-Carlo sweeps to CSV).
 
 Exit codes: 0 success, 1 configuration/usage error, 2 solver
 non-convergence (or total estimator failure) in single-shot modes.
@@ -111,12 +111,6 @@ def _build_parser():
     e.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config key")
     e.set_defaults(func=_cmd_experiment)
-
-    o = sub.add_parser("oracle", help="exhaustive least-squares support search")
-    o.add_argument("--matrix", required=True)
-    o.add_argument("--m", type=int, required=True)
-    o.add_argument("--out", default=None)
-    o.set_defaults(func=_cmd_oracle)
 
     return parser
 
@@ -239,6 +233,9 @@ def _cmd_recover(args):
     if isinstance(sol, support.SdpSolution):
         # the scalar fields: a new SdpSolution field is a new output key
         record["sdp"] = {k: v for k, v in vars(sol).items() if not isinstance(v, np.ndarray)}
+    if args.method == "lse":  # its objective, on the residual's own node numbering
+        local = indices if kept is None else np.searchsorted(kept, indices)
+        record["complement_energy"] = support.complement_energy(spectral._average(resids), local)
     record["support"] = [int(i) for i in indices]
     record["converged"] = bool(converged)
     _emit_json(record, args.out)
@@ -330,17 +327,6 @@ def _cmd_experiment(args):
             print(f"n={g['n']} method={g['method']} param={g['param']} "
                   f"mean={g['mean']:.4f} sd={g['sd']:.4f} "
                   f"ci=[{g['ci_low']:.4f}, {g['ci_high']:.4f}] count={g['count']}")
-    return 0
-
-
-def _cmd_oracle(args):
-    [[mat]] = _read_matrices([args.matrix])
-    try:
-        idx, _ = support.recover("lse", mat, args.m)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _emit_json({"n": mat.shape[0], "m": args.m, "support": [int(i) for i in idx],
-                "complement_energy": support.complement_energy(mat, idx)}, args.out)
     return 0
 
 

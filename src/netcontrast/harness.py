@@ -409,7 +409,6 @@ def _check_methods(cfg, allowed, default):
 # the support methods that a preset's cells can feed: sdp-multi needs two
 # residual copies and sdp-trunc a noise scale
 _ONE_COPY = tuple(m for m in support.METHODS if m != "sdp-multi")
-_ONE_COPY_NO_TAU = tuple(m for m in _ONE_COPY if m != "sdp-trunc")
 _TWO_COPIES_NO_TAU = tuple(m for m in support.METHODS if m != "sdp-trunc")
 
 
@@ -428,15 +427,21 @@ def _rule_at(what, expr, n_list, positive=False, **extra):
     return values
 
 
-def _m_rule(o, default, n_list, **extra):
+def _m_rule(o, default, n_list, methods=(), **extra):
     """{n: support size} of the rule m, after checking that it rounds to
-    1 <= m < n at every n, as the samplers require."""
+    1 <= m < n at every n, as the samplers require, and, when methods hold
+    lse, that C(n, m) is within the exhaustive search's bound (screening
+    only shrinks n, so the bound at n holds after it)."""
     expr = o.get("m", default)
     sizes = _rule_at(f"rule m = {expr!r}", expr, n_list, **extra)
     for n, m in sizes.items():
         if not 1 <= round(m) < n:
             raise ConfigError(f"rule m = {expr!r} gives m={m:g} at n={n}; "
                               "need 1 <= round(m) < n")
+        if "lse" in methods and math.comb(n, round(m)) > support._EXHAUSTIVE_MAX:
+            raise ConfigError(f"method lse at n={n}, m={round(m)} would score "
+                              f"C(n, m) = {math.comb(n, round(m)):.3g} supports; "
+                              f"the limit is {support._EXHAUSTIVE_MAX}")
     return {n: int(round(m)) for n, m in sizes.items()}
 
 
@@ -494,7 +499,7 @@ def _build_snr(cfg):
     opts = solver_settings(o)
     r = _positive(o, "r", 3, int)
     mus = _mu_rule("exp-snr mu", o.get("mu", "log(n)"), n_list, r)
-    sizes = _m_rule(o, "10", n_list, r=r)
+    sizes = _m_rule(o, "10", n_list, methods, r=r)
     points = _coefficient_points(cfg, params, o, n_list, r=r)
     eigenvalues = _eigenvalues(o, n_list, r)
     noise = _noise_from(o, "gaussian-iid")
@@ -520,7 +525,9 @@ def _build_glfail(cfg):
     if min(n_list) < 100:
         raise ConfigError(f"{cfg.preset}: the decoy construction needs n >= 100, "
                           f"got n={min(n_list)}")
-    methods = _check_methods(cfg, _ONE_COPY_NO_TAU, ("sdp", "glasso", "hard"))
+    # one copy and no noise scale; lse is out, as the decoy support's
+    # m = floor(2 sqrt(n)) >= 20 rows puts it far above the search's bound
+    methods = _check_methods(cfg, ("sdp", "glasso", "hard"), ("sdp", "glasso", "hard"))
     params = cfg.params or ("decoy",)
     o = cfg.options
     opts = solver_settings(o)
@@ -541,7 +548,7 @@ def _build_multicopy(cfg):
     params = cfg.params or ("3.2",)
     o = cfg.options
     opts = solver_settings(o)
-    sizes = _m_rule(o, "ceil(2*log(n))", n_list)
+    sizes = _m_rule(o, "ceil(2*log(n))", n_list, methods)
     points = _coefficient_points(cfg, params, o, n_list)
     noise = _noise_from(o, "gaussian-row-hetero")
 
@@ -563,7 +570,7 @@ def _build_heavytail(cfg):
     params = cfg.params or ("2.0",)
     o = cfg.options
     opts = solver_settings(o)
-    sizes = _m_rule(o, "ceil(2*log(n))", n_list)
+    sizes = _m_rule(o, "ceil(2*log(n))", n_list, methods)
     points = _coefficient_points(cfg, params, o, n_list)
     noise = _noise_from(o, "scaled-t4")
 
@@ -597,7 +604,7 @@ def _build_coherence(cfg):
         fields = _point_fields(what, param, ("mu",), ("screen",))
         screen = _parse_bool(f"{what}: screen", fields.get("screen", "on"))
         points.append((param, _mu_rule(what, fields["mu"], n_list, r), screen))
-    sizes = _m_rule(o, "10", n_list, r=r)
+    sizes = _m_rule(o, "10", n_list, methods, r=r)
     sb_expr = o.get("sigma_b", "2 * n**(-0.25) * log(n)**0.25")
     sigma_b = _rule_at(f"rule sigma_b = {sb_expr!r}", sb_expr, n_list, True, r=r)
     eigenvalues = _eigenvalues(o, n_list, r)

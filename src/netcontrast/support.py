@@ -2,7 +2,7 @@
 
 Four estimators over a common interface — a semidefinite relaxation solved in
 factored form, a node-wise group lasso solved by working-set FISTA, a
-row-energy hard threshold, and an exhaustive least-squares search for tiny
+row-energy hard threshold, and an exhaustive least-squares search for small
 problems — plus cost construction for one or many residual copies, automatic
 support-size selection, the false-negative-rate metric, and `recover`, the
 dispatch from a method name in METHODS to a support in original node numbering.
@@ -25,7 +25,8 @@ from .spectral import _average
 logger = logging.getLogger(__name__)
 C_THRESH = 1.0          # default slack constant of select_m
 _M_STEPS = 20           # step cap of select_m's walk
-_EXHAUSTIVE_MAX = math.comb(16, 8)  # most supports exhaustive_support scores: any m at n <= 16
+_EXHAUSTIVE_MAX = 2_000_000  # most supports exhaustive_support scores: any m at n <= 23
+_CHUNK = 65_536          # supports exhaustive_support scores per numpy pass
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,14 @@ def complement_energy(residual, support):
 def exhaustive_support(residual, m):
     """Exact minimizer of complement_energy over all size-m supports;
     lexicographically smallest on exact ties.  A search over more than
-    _EXHAUSTIVE_MAX supports raises ValueError."""
+    _EXHAUSTIVE_MAX supports raises ValueError.
+
+    With R = Y∘Y + (Y∘Y)^T and r its row sums, twice the energy off S is
+    ½(ΣR + tr R) − Σ_{i∈S} r_i + Σ_{i<j∈S} R_ij, and twice the energy on its
+    complement T is Σ_{i∈T} R_ii + Σ_{i<j∈T} R_ij.  The smaller of S and T is
+    enumerated, so a support costs O(min(m, n − m)²) after an O(n²) set-up.
+    Complements come in the reverse of the supports' lexicographic order, so
+    on that side ties go to the last minimum."""
     residual = np.asarray(residual, dtype=float)
     nt = residual.shape[0]
     if not 1 <= m < nt:
@@ -334,14 +342,20 @@ def exhaustive_support(residual, m):
     if count > _EXHAUSTIVE_MAX:
         raise ValueError(f"exhaustive search over C(n={nt}, m={m}) = {count:.3g} supports; "
                          f"the limit is {_EXHAUSTIVE_MAX}")
-    best = None
-    best_val = math.inf
-    for combo in itertools.combinations(range(nt), m):
-        val = complement_energy(residual, combo)
-        if val < best_val:
-            best_val = val
-            best = combo
-    return np.array(best, dtype=int)
+    sq = residual * residual
+    sq += sq.T
+    k, lin = (nt - m, np.diag(sq)) if 2 * m > nt else (m, -sq.sum(axis=1))
+    combos = itertools.combinations(range(nt), k)
+    best, best_val = None, math.inf
+    while len(chunk := np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)),
+                                   np.intp).reshape(-1, k)):
+        score, cols = lin.take(chunk).sum(axis=1), chunk.T
+        for a, b in itertools.combinations(range(k), 2):
+            score += sq.take(cols[a] * nt + cols[b])  # take reads sq flattened
+        i = len(score) - 1 - np.argmin(score[::-1]) if k < m else np.argmin(score)
+        if score[i] < best_val or (k < m and score[i] == best_val):
+            best_val, best = score[i], chunk[i]
+    return np.setdiff1d(np.arange(nt), best) if k < m else np.array(best, dtype=int)
 
 
 def false_negative_rate(estimate, truth):
@@ -377,6 +391,8 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None):
     nt = residual.shape[0]
     if sigma_hat <= 0:
         raise ValueError("sigma_hat must be positive")
+    if not (math.isfinite(c_thresh) and c_thresh > 0):
+        raise ValueError(f"c_thresh must be finite and > 0, got {c_thresh}")
     if nt < 3:
         raise ValueError(f"the walk over m in [1, n - 2] needs n >= 3 nodes, got n={nt}")
     sq = residual * residual

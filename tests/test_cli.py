@@ -59,6 +59,7 @@ def test_recover_sdp_finds_planted_support(dataset, tmp_path):
     rec = json.loads(out.read_text())
     assert rec["support"] == meta["supports"][0]
     assert rec["converged"] is True
+    assert "complement_energy" not in rec  # lse's objective only
     assert rec["sdp"]["trace_residual"] <= 1e-6 * (rec["kept_count"] - 4)
     sdp = rec["sdp"]
     # the block is SdpSolution's scalar fields: a new field is a new output key
@@ -109,7 +110,9 @@ def test_recover_other_methods_agree(dataset, tmp_path):
             "--rank", "2", "--method", method, "--m", "4", "--out", str(out),
         ])
         assert rc == 0
-        assert json.loads(out.read_text())["support"] == meta["supports"][0]
+        rec = json.loads(out.read_text())
+        assert rec["support"] == meta["supports"][0]
+        assert "complement_energy" not in rec  # lse's objective only
 
 
 def test_recover_exhaustive_on_a_tiny_set(tmp_path):
@@ -125,6 +128,7 @@ def test_recover_exhaustive_on_a_tiny_set(tmp_path):
     rec = json.loads(out.read_text())
     assert rec["support"] == load_meta(data)["supports"][0]
     assert rec["kept_count"] == 12 and "sdp" not in rec
+    assert rec["complement_energy"] > 0
 
 
 def with_small_matrix(flags, tmp_path):
@@ -144,6 +148,8 @@ def with_small_matrix(flags, tmp_path):
     ["--y0", "{small}"], ["--gl-tol", "0"], ["--gl-tol", "-1"],
     # screening keeps 2 nodes, then 1: too few for the walk over m in [1, n - 2]
     ["--m-auto", "--c-screen", "0.1"], ["--m-auto", "--c-screen", "0.07"],
+    # a slack constant that is not finite and positive
+    ["--m-auto", "--c-thresh", "0"], ["--m-auto", "--c-thresh", "nan"],
 ])
 def test_recover_bad_settings_exit_one(dataset, tmp_path, capsys, flags):
     flags = with_small_matrix(flags, tmp_path)
@@ -351,15 +357,21 @@ def test_refine_bad_input_exit_one(dataset, tmp_path, capsys, flags):
     assert out == "" and err.startswith("error: ")
 
 
-def test_oracle_matches_support(tmp_path, capsys):
+def lse_argv(path, m, *flags):
+    """recover --method lse on one matrix, with no shared structure removed."""
+    return ["recover", "--y1", str(path), "--rank", "0", "--no-screen",
+            "--method", "lse", "--m", str(m), *flags]
+
+
+def test_recover_lse_matches_support(tmp_path, capsys):
     rng = np.random.default_rng(3)
     from netcontrast.model import sample_node_sparse
 
     b, sup = sample_node_sparse(12, 2, 4.0, rng)
     path = tmp_path / "mat.txt"
     write_matrix(path, b)
-    out = tmp_path / "oracle.json"
-    rc = main(["oracle", "--matrix", str(path), "--m", "2", "--out", str(out)])
+    out = tmp_path / "lse.json"
+    rc = main(lse_argv(path, 2, "--out", str(out)))
     assert rc == 0
     rec = json.loads(out.read_text())
     assert rec["support"] == [int(i) for i in sup]
@@ -368,14 +380,20 @@ def test_oracle_matches_support(tmp_path, capsys):
     big = tmp_path / "big.txt"
     write_matrix(big, np.eye(40))
     capsys.readouterr()
-    assert main(["oracle", "--matrix", str(big), "--m", "20"]) == 1
+    assert main(lse_argv(big, 20)) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
-def test_oracle_agrees_with_recover_lse(tmp_path):
-    # one search behind both commands: the same support on a noisy matrix, and
-    # oracle's energy is the least-squares objective at that support
+def upper_energy(y, support):
+    comp = np.setdiff1d(np.arange(y.shape[0]), support)
+    block = y[np.ix_(comp, comp)]
+    return float(np.triu(block * block).sum())
+
+
+def test_recover_lse_energy_is_the_objective(dataset, tmp_path):
+    # the library search's support on a noisy matrix, and its energy is the
+    # least-squares objective at that support
     from netcontrast.model import sample_node_sparse
 
     rng = np.random.default_rng(5)
@@ -384,16 +402,25 @@ def test_oracle_agrees_with_recover_lse(tmp_path):
     path = tmp_path / "y.txt"
     write_matrix(path, b + 0.3 * (noise + noise.T))
     y = read_matrix(path)
-    assert main(["oracle", "--matrix", str(path), "--m", "2",
-                 "--out", str(tmp_path / "oracle.json")]) == 0
-    assert main(["recover", "--y1", str(path), "--method", "lse", "--rank", "0", "--m", "2",
-                 "--no-screen", "--out", str(tmp_path / "lse.json")]) == 0
-    rec = json.loads((tmp_path / "oracle.json").read_text())
-    assert rec["support"] == json.loads((tmp_path / "lse.json").read_text())["support"]
-    comp = np.setdiff1d(np.arange(12), rec["support"])
-    block = y[np.ix_(comp, comp)]
-    upper = np.triu(block * block)
-    assert rec["complement_energy"] == pytest.approx(float(upper.sum()), rel=1e-12)
+    assert main(lse_argv(path, 2, "--out", str(tmp_path / "lse.json"))) == 0
+    rec = json.loads((tmp_path / "lse.json").read_text())
+    assert rec["support"] == support.exhaustive_support(y, 2).tolist()
+    assert rec["complement_energy"] == pytest.approx(upper_energy(y, rec["support"]), rel=1e-12)
+    # with screening on, the energy is of the averaged residual on the kept
+    # nodes, with the support in that residual's numbering
+    y1s = [dataset / "y1_00.txt", dataset / "y1_01.txt"]
+    y0s = [dataset / "y0_00.txt", dataset / "y0_01.txt"]
+    out = tmp_path / "screened.json"
+    assert main(["recover", "--y1", *map(str, y1s), "--y0", *map(str, y0s), "--rank", "2",
+                 "--c-screen", "0.8", "--method", "lse", "--m", "2", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    resids, kept, _ = netcontrast.stage_one([read_matrix(p) for p in y1s],
+                                            [read_matrix(p) for p in y0s], 2, 0.8)
+    assert rec["kept_count"] == len(kept) < 60
+    avg = (resids[0] + resids[1]) / 2
+    local = np.flatnonzero(np.isin(kept, rec["support"]))
+    assert rec["support"] == kept[support.exhaustive_support(avg, 2)].tolist()
+    assert rec["complement_energy"] == pytest.approx(upper_energy(avg, local), rel=1e-12)
 
 
 def test_experiment_cli_roundtrip(tmp_path):
@@ -446,6 +473,18 @@ def test_experiment_threads_below_one_exit_one(capsys, threads):
                "--params", "2", "--methods", "hard", "--threads", threads])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: threads must be >= 1")
+
+
+def test_experiment_lse_above_the_search_bound_exit_one(capsys):
+    # C(300, 10) supports: refused at plan build, before any trial writes nan
+    rc = main(["experiment", "--preset", "exp-snr", "--n", "300", "--trials", "2",
+               "--params", "2.4", "--methods", "lse"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: method lse at n=300, m=10")
+    assert main(["experiment", "--preset", "exp-snr", "--n", "14", "--trials", "3",
+                 "--params", "2.4", "--set", "m=2", "--methods", "sdp,lse,hard"]) == 0
+    assert "method=lse param=2.4 mean=0.0000" in capsys.readouterr().out
 
 
 def test_experiment_bad_config_path():

@@ -542,12 +542,27 @@ def test_multicopy_preset_row_count():
 @pytest.mark.parametrize("preset,method", [
     ("exp-snr", "sdp-multi"), ("exp-glfail", "sdp-multi"), ("exp-heavytail", "sdp-multi"),
     ("exp-coherence", "sdp-multi"), ("exp-glfail", "sdp-trunc"), ("exp-multicopy", "sdp-trunc"),
+    ("exp-glfail", "lse"),
 ])
 def test_support_presets_reject_methods_their_cells_cannot_feed(preset, method):
-    # sdp-multi needs two residual copies and sdp-trunc a noise scale; a
+    # sdp-multi needs two residual copies and sdp-trunc a noise scale, and
+    # exp-glfail's decoy support (m >= 20) is beyond any exhaustive search; a
     # preset whose cells cannot feed one refuses it before any trial runs
     with pytest.raises(ConfigError, match=f"{method}.*not valid for preset"):
         build_plan(config_from_mapping({"preset": preset, "methods": method}))
+
+
+@pytest.mark.parametrize("preset", ["exp-snr", "exp-multicopy", "exp-heavytail", "exp-coherence"])
+def test_support_presets_refuse_lse_above_the_search_bound(preset):
+    # at the default sizes C(n, m) is far above the bound on the supports
+    # lse scores, so the plan is refused instead of writing nan rows
+    with pytest.raises(ConfigError, match=r"method lse at n=\d+, m=\d+ would score"):
+        build_plan(config_from_mapping({"preset": preset, "methods": "sdp,lse"}))
+    # at the boundary, C(n - 1, 2) is within the bound and C(n, 2) is not
+    n = next(n for n in range(3, 10**4) if math.comb(n, 2) > support._EXHAUSTIVE_MAX)
+    with pytest.raises(ConfigError, match=f"method lse at n={n}, m=2"):
+        build_plan(config_from_mapping({"preset": preset, "methods": "lse", "m": "2",
+                                        "n": f"{n - 1},{n}"}))
 
 
 def test_coherence_preset_feeds_sdp_trunc_a_noise_scale():

@@ -342,14 +342,18 @@ def test_sdp_matches_exhaustive_noiseless():
 
 
 def test_sdp_matches_exhaustive_under_noise():
-    # signal at several times the recovery scale, where the relaxation is tight
-    agree = 0
-    for seed in range(10):
-        resid, _ = planted_residual(12, 2, 6.0, 100 + seed, sigma=1.0)
-        sdp_est = extract_support(solve_sdp(build_cost(resid), 2, rng=rng_of(seed)), 2)
-        lse_est = exhaustive_support(resid, 2)
-        agree += np.array_equal(sdp_est, lse_est)
-    assert agree >= 9
+    # signal at several times the recovery scale, where the relaxation is
+    # tight; n = 40, m = 5 is the paper's SDP-versus-least-squares size.  There
+    # the two agreed on 60 of seeds 100-159 at sigma_b = 2.0, 9 or 10 of each
+    # ten at 1.5, and 6 or 7 at 1.0
+    for n, m, sigma_b in ((12, 2, 6.0), (40, 5, 2.0)):
+        agree = 0
+        for seed in range(10):
+            resid, _ = planted_residual(n, m, sigma_b, 100 + seed, sigma=1.0)
+            sdp_est = extract_support(solve_sdp(build_cost(resid), m, rng=rng_of(seed)), m)
+            lse_est = exhaustive_support(resid, m)
+            agree += np.array_equal(sdp_est, lse_est)
+        assert agree >= 9, (n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +377,10 @@ def test_exhaustive_limit_guard():
     # the guard counts supports, not nodes: C(17, 2) = 136 runs, and the
     # least n at which C(n, 2) is above the bound is refused
     assert np.array_equal(exhaustive_support(np.zeros((17, 17)), 2), [0, 1])
+    # a support costs O(m^2), not O(n^2): m = 1 at n = 1000 is one pass of 1000
+    y = np.ones((1000, 1000))
+    y[7] = y[:, 7] = 5.0
+    assert np.array_equal(exhaustive_support(y, 1), [7])
     assert math.comb(16, 8) <= support._EXHAUSTIVE_MAX < math.comb(40, 20)
     n = next(n for n in range(3, 10**6) if math.comb(n, 2) > support._EXHAUSTIVE_MAX)
     with pytest.raises(ValueError, match="exhaustive search over"):
@@ -381,6 +389,8 @@ def test_exhaustive_limit_guard():
 
 def test_exhaustive_lex_smallest_on_ties():
     assert np.array_equal(exhaustive_support(np.zeros((6, 6)), 2), [0, 1])
+    # above n/2 the complements are scored, in the reverse order
+    assert np.array_equal(exhaustive_support(np.ones((6, 6)), 4), [0, 1, 2, 3])
 
 
 def test_exhaustive_objective_is_complement_energy():
@@ -398,6 +408,11 @@ def test_exhaustive_objective_is_complement_energy():
     vals = {c: energy(c) for c in itertools.combinations(range(8), 2)}
     assert energy(tuple(est)) == min(vals.values())
     assert all(support.complement_energy(y, c) == v for c, v in vals.items())
+    # m = 6 scores the complements, and a matrix that is not symmetric
+    # counts both Y_ij^2 and Y_ji^2 off the support
+    for mat, m in ((y, 6), (rng.standard_normal((8, 8)), 3)):
+        vals = {c: support.complement_energy(mat, c) for c in itertools.combinations(range(8), m)}
+        assert tuple(exhaustive_support(mat, m)) == min(vals, key=vals.get)
 
 
 def test_false_negative_rate_values():
@@ -440,6 +455,12 @@ def test_select_m_cap_reports_nonconverged(monkeypatch):
 def test_select_m_rejects_bad_sigma():
     with pytest.raises(ValueError):
         select_m(np.eye(5), sigma_hat=0.0, m0=1)
+
+
+@pytest.mark.parametrize("c_thresh", [0.0, -1.0, math.nan, math.inf])
+def test_select_m_rejects_bad_c_thresh(c_thresh):
+    with pytest.raises(ValueError, match="c_thresh"):
+        select_m(np.eye(5), sigma_hat=1.0, m0=1, c_thresh=c_thresh)
 
 
 # ---------------------------------------------------------------------------
