@@ -43,17 +43,19 @@ def asymmetric_combine(upper, lower):
 def asymmetric_eigenpairs(mat, rank):
     """Top-rank left/right eigenpairs of a (generally asymmetric) matrix.
 
-    Eigenvalues are ordered by decreasing magnitude.  Imaginary parts below
-    1e-6 * |eigenvalue| are dropped; larger ones raise LinAlgError.  Right
-    vectors get the usual sign convention (first largest-magnitude entry
-    nonnegative) and each left vector is flipped so its overlap with the
-    matching right vector is positive.
+    Eigenvalues are ordered by decreasing magnitude.  _top_eigenpairs gives
+    the top-rank spans of mat (right) and mat.T (left), with orthonormal
+    bases Q and P, and one two-sided Rayleigh-Ritz step gives both sides:
+    with G = P^T Q and eig(G^-1 P^T mat Q) = Y diag(values) Y^-1, the right
+    vectors are Q Y and the left ones P G^-T Y^-T, so l^T r = 1 per pair.
+    Right vectors get the usual sign convention (first largest-magnitude
+    entry nonnegative), each left vector the sign of its right partner, and
+    both are normalised.
 
-    Each side comes from _top_eigenpairs, the right pairs of mat and the left
-    pairs as the right pairs of mat.T, and the two are matched by value
-    order; LinAlgError is raised when a matched left value differs from its
-    right value by more than 1e-6 relative.  Non-finite input raises
-    ValueError.
+    LinAlgError is raised when a top value of either span has an imaginary
+    part above 1e-6 * |value|, or a Ritz residual of either side is above
+    1e-6 * |value| times its vector's norm (the two spans are not one pair
+    of top-rank invariant subspaces).  Non-finite input raises ValueError.
     """
     mat = np.asarray(mat, dtype=float)
     nt = mat.shape[0]
@@ -61,29 +63,26 @@ def asymmetric_eigenpairs(mat, rank):
         raise ValueError(f"need 1 <= rank <= n, got rank={rank}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix must be finite")
-    w, vr = _top_eigenpairs(mat, rank)
-    wl, vl = _top_eigenpairs(mat.T, rank)
-    # pair the j-th smallest left value with the j-th smallest right one, so
-    # that l and -l, tied in magnitude, still meet their own partners
-    right, left = np.argsort(w.real), np.argsort(wl.real)
-    order = np.argsort(-np.abs(w[right]), kind="stable")
-    right, left = right[order], left[order]
-    w, vr, wl, vl = w[right], vr[:, right], wl[left], vl[:, left]
-    bad = np.abs(w.imag) > 1e-6 * np.maximum(np.abs(w), 1e-300)
-    if np.any(bad):
-        raise np.linalg.LinAlgError(
-            f"top-{rank} eigenvalues are not real: {w[bad]}"
-        )
-    if np.any(np.abs(wl - w) > 1e-6 * np.abs(w)):
-        raise np.linalg.LinAlgError(f"left eigenvalues {wl} do not pair with right {w}")
-    w = w.real
-    vl = vl.real.copy()
-    vr = vr.real.copy()
+    (w, vr), (wl, vl) = _top_eigenpairs(mat, rank), _top_eigenpairs(mat.T, rank)
+    for vals in (w, wl):
+        bad = np.abs(vals.imag) > 1e-6 * np.maximum(np.abs(vals), 1e-300)
+        if np.any(bad):
+            raise np.linalg.LinAlgError(f"top-{rank} eigenvalues are not real: {vals[bad]}")
+    q, p = np.linalg.qr(vr.real)[0], np.linalg.qr(vl.real)[0]
+    aq, g = mat @ q, p.T @ q
+    w, y = np.linalg.eig(np.linalg.solve(g, p.T @ aq))
+    order = np.argsort(-np.abs(w), kind="stable")
+    w, y = w[order].real, y[:, order].real
+    vr = _sign_fix(q @ y)
+    y = q.T @ vr  # Y with the right vectors' signs, which the left ones then share
+    vl = p @ np.linalg.solve(g.T, np.linalg.inv(y).T)
+    for vecs, res in ((vr, aq @ y - vr * w), (vl, mat.T @ vl - vl * w)):
+        bound = 1e-6 * np.abs(w) * np.linalg.norm(vecs, axis=0)
+        if not np.all(np.linalg.norm(res, axis=0) <= bound):   # NaN fails too
+            raise np.linalg.LinAlgError(
+                f"top-{rank} Ritz residuals of the two spans exceed 1e-6 |value|")
     vr /= np.linalg.norm(vr, axis=0)
     vl /= np.linalg.norm(vl, axis=0)
-    _sign_fix(vr)
-    flip = np.where(np.sum(vl * vr, axis=0) < 0, -1.0, 1.0)
-    vl *= flip
     return RankDecomposition(right=vr, left=vl, values=w)
 
 

@@ -170,7 +170,8 @@ def estimate_noise_scale(y0, dec):
 
     tau = ||(Y0 - M0)_{SxS}||_F / |S| over S = rows with sqrt(n) * row norm
     <= 2 sqrt(log n).  Within a constant band of the true per-copy sigma
-    with high probability.
+    with high probability.  Raises ValueError when fewer than 2 rows are
+    kept or the estimate is not finite.
     """
     y0 = np.asarray(y0, dtype=float)
     n = dec.n
@@ -179,7 +180,11 @@ def estimate_noise_scale(y0, dec):
     if s.size < 2:
         raise ValueError(f"noise-scale index set has {s.size} rows (< 2)")
     resid = (y0 - dec.reconstruct())[np.ix_(s, s)]
-    return float(np.linalg.norm(resid)) / s.size
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        tau = float(np.linalg.norm(resid)) / s.size
+    if not math.isfinite(tau):
+        raise ValueError(f"noise-scale estimate is not finite: {tau}")
+    return tau
 
 
 def stage_one(treatments, controls, rank, c_screen=C_SCREEN):

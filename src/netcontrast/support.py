@@ -333,7 +333,8 @@ def exhaustive_support(residual, m):
     complement T is Σ_{i∈T} R_ii + Σ_{i<j∈T} R_ij.  The smaller of S and T is
     enumerated, so a support costs O(min(m, n − m)²) after an O(n²) set-up.
     Complements come in the reverse of the supports' lexicographic order, so
-    on that side ties go to the last minimum."""
+    on that side ties go to the last minimum.  A residual whose squared
+    entries do not sum to a finite number raises ValueError."""
     residual = np.asarray(residual, dtype=float)
     nt = residual.shape[0]
     if not 1 <= m < nt:
@@ -342,8 +343,12 @@ def exhaustive_support(residual, m):
     if count > _EXHAUSTIVE_MAX:
         raise ValueError(f"exhaustive search over C(n={nt}, m={m}) = {count:.3g} supports; "
                          f"the limit is {_EXHAUSTIVE_MAX}")
-    sq = residual * residual
-    sq += sq.T
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        sq = residual * residual
+        sq += sq.T
+        total = sq.sum()
+    if not np.isfinite(total):
+        raise ValueError("squared residual does not sum to a finite number")
     k, lin = (nt - m, np.diag(sq)) if 2 * m > nt else (m, -sq.sum(axis=1))
     combos = itertools.combinations(range(nt), k)
     best, best_val = None, math.inf

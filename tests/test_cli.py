@@ -385,6 +385,24 @@ def test_recover_lse_matches_support(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_recover_on_overflowing_input_writes_no_traceback_or_infinity(tmp_path, capsys):
+    # finite entries near 1e200 overflow once squared: lse refuses them with
+    # one error line, and hard has no noise scale, so its tau is null
+    def refuse(const):
+        raise ValueError(f"not JSON: {const}")
+
+    assert main(["generate", "--n", "40", "--r", "2", "--m", "3", "--sigma-b", "1e200",
+                 "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(lse_argv(tmp_path / "b_00.txt", 3)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --method lse: ") and err.count("\n") == 1
+    assert main(["recover", "--y1", str(tmp_path / "b_00.txt"), "--rank", "0", "--no-screen",
+                 "--method", "hard", "--m", "3"]) == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert rec["tau"] is None and len(rec["support"]) == 3
+
+
 def upper_energy(y, support):
     comp = np.setdiff1d(np.arange(y.shape[0]), support)
     block = y[np.ix_(comp, comp)]

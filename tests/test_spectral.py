@@ -200,6 +200,13 @@ def test_noise_scale_rank_zero_is_frobenius_over_n():
     assert np.isclose(tau, np.linalg.norm(y) / n)
 
 
+def test_noise_scale_refuses_an_overflowing_estimate():
+    # a finite control whose Frobenius norm overflows has no noise scale
+    y = np.full((40, 40), 1e200)
+    with pytest.raises(ValueError, match="not finite"):
+        estimate_noise_scale(y, spectral_init(y, 0))
+
+
 def test_rank_decomposition_left_defaults_to_right():
     q, _ = np.linalg.qr(rng_of(16).standard_normal((20, 2)))
     dec = RankDecomposition(right=q, left=q, values=np.array([3.0, 1.0]))

@@ -387,6 +387,15 @@ def test_exhaustive_limit_guard():
         exhaustive_support(np.zeros((n, n)), 2)
 
 
+def test_exhaustive_refuses_a_residual_whose_squares_overflow():
+    # entries of 1e200 are finite, but their squares are not: on both sides
+    # of n/2 the search refuses them instead of scoring inf and nan
+    big = np.full((6, 6), 1e200)
+    for m in (2, 5):
+        with pytest.raises(ValueError, match="finite"):
+            exhaustive_support(big, m)
+
+
 def test_exhaustive_lex_smallest_on_ties():
     assert np.array_equal(exhaustive_support(np.zeros((6, 6)), 2), [0, 1])
     # above n/2 the complements are scored, in the reverse order
