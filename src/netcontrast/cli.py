@@ -273,17 +273,9 @@ def _cmd_refine(args):
     if args.emit:
         Path(args.emit).mkdir(parents=True, exist_ok=True)
 
-    masked1 = [refine.mask_support(y, sup) for y in y1s]
-    masked0 = [refine.mask_support(y, sup) for y in y0s]
-    # the composite splices the treatment mean (else the first control) with
-    # the next control; the two controls after it are mhat2's extras
-    if masked1:
-        upper, rest = spectral._average(masked1), masked0
-    else:
-        upper, rest = masked0[0], masked0[1:]
+    copies = [refine.mask_support(y, sup) for y in y1s + y0s]
     wanted = refine.ESTIMATORS if args.which == "all" else (args.which,)
-    for meth, est, error in refine.estimate(wanted, args.rank, masked1 + masked0,
-                                            upper, rest[0], rest[1:]):
+    for meth, est, error in refine.estimate(wanted, args.rank, copies):
         entry = record["estimators"][meth] = {"ok": est is not None}
         if est is None:
             entry["error"] = error

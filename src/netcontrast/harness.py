@@ -633,18 +633,12 @@ def _build_coherence(cfg):
 
 def _refine_runs(methods, param, r, basis, vals, noise, data_rng):
     """One trial's run per refinement estimator: its linf error at param,
-    from four noisy copies of the planted matrix; mhat1 splices the means
-    of copies 0, 2 and 1, 3, mhat2 splices copies 0 and 1 and whitens with
-    2 and 3."""
+    from four noisy copies of the planted matrix (refine.estimate's layout)."""
     mstar = model.GroundTruth(basis=basis, eigenvalues=vals).shared_matrix()
     copies = [mstar + model.sample_noise(basis.shape[0], noise, data_rng) for _ in range(4)]
 
     def run(meth, rng):
-        if meth == "mhat1":
-            layout = (0.5 * (copies[0] + copies[2]), 0.5 * (copies[1] + copies[3]))
-        else:
-            layout = (copies[0], copies[1], copies[2:])
-        ((_, est, _),) = refine.estimate((meth,), r, copies, *layout)
+        ((_, est, _),) = refine.estimate((meth,), r, copies)
         if est is None:
             return {param: (math.nan, False)}
         return {param: (refine.entry_error(est, mstar), True)}

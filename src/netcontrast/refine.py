@@ -14,7 +14,7 @@ import logging
 
 import numpy as np
 
-from .spectral import RankDecomposition, _sign_fix, _top_eigenpairs, spectral_init
+from .spectral import RankDecomposition, _average, _sign_fix, _top_eigenpairs, spectral_init
 
 logger = logging.getLogger(__name__)
 
@@ -152,37 +152,34 @@ def spectral_baseline(mats, rank):
 ESTIMATORS = ("spec", "mhat1", "mhat2")
 
 
-def estimate(methods, rank, views, upper, lower, extras=()):
+def estimate(methods, rank, copies):
     """[(method, estimate or None, error message or None)] for each name of
-    ESTIMATORS in methods, in order: spec truncates the mean of views, mhat1
-    and mhat2 share the eigenpairs of asymmetric_combine(upper, lower), or
-    the failure of that one solve, and mhat2 whitens them with extras[0] and
-    extras[1].  A LinAlgError or ValueError gives its message, not the
-    exception, whose traceback would keep the n x n matrices of its frames
-    alive."""
+    ESTIMATORS in methods, in order, from a list of independent copies of
+    the shared matrix: spec truncates the mean of all copies, mhat1 debiases
+    the eigenpairs of the composite that splices the mean of the
+    even-numbered copies with the mean of the odd-numbered ones, and mhat2
+    splices copies 0 and 1 and whitens with copies 2 and 3, so it needs four.
+    A LinAlgError or ValueError gives its message, not the exception, whose
+    traceback would keep the n x n matrices of its frames alive."""
     if not set(methods) <= set(ESTIMATORS):
         raise ValueError(f"estimators must be among {ESTIMATORS}, got {methods}")
-    dec = failure = None   # the shared eigensolve's result, or its error message
     out = []
     for meth in methods:
         try:
             if meth == "spec":
-                est = spectral_baseline(views, rank)
+                est = spectral_baseline(copies, rank)
+            elif meth == "mhat1":
+                if len(copies) < 2:
+                    raise ValueError(f"mhat1 needs 2 copies, got {len(copies)}")
+                dec = asymmetric_eigenpairs(asymmetric_combine(
+                    _average(copies[0::2]), _average(copies[1::2])), rank)
+                est = reconstruct_symmetric(debiased_eigenvectors(dec), dec.values)
+            elif len(copies) < 4:
+                raise ValueError(f"mhat2 needs 4 copies, got {len(copies)}")
             else:
-                if dec is None and failure is None:
-                    try:
-                        dec = asymmetric_eigenpairs(asymmetric_combine(upper, lower), rank)
-                    except (np.linalg.LinAlgError, ValueError) as exc:
-                        failure = str(exc)
-                if failure is not None:
-                    raise ValueError(failure)
-                if meth == "mhat1":
-                    est = reconstruct_symmetric(debiased_eigenvectors(dec), dec.values)
-                elif len(extras) < 2:
-                    raise ValueError("mhat2 needs two extra control matrices")
-                else:
-                    est = whitened_reconstruction(
-                        dec, eigenspace_correction(dec, extras[0], extras[1]))
+                dec = asymmetric_eigenpairs(asymmetric_combine(copies[0], copies[1]), rank)
+                est = whitened_reconstruction(
+                    dec, eigenspace_correction(dec, copies[2], copies[3]))
         except (np.linalg.LinAlgError, ValueError) as exc:
             logger.warning("estimator %s failed: %s", meth, exc)
             out.append((meth, None, str(exc)))

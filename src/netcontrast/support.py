@@ -304,13 +304,23 @@ def extract_support(solution, m):
     return np.sort(order[:m])
 
 
+def _row_norms(residual):
+    """l2 norm of each row; ValueError when one is not finite, as when the
+    squares of finite entries overflow."""
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        norms = np.linalg.norm(np.asarray(residual, dtype=float), axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("residual row norms are not finite")
+    return norms
+
+
 def hard_threshold(residual, m):
-    """m rows with the largest l2 norms (ascending-index tie-break)."""
+    """m rows with the largest l2 norms (ascending-index tie-break); row
+    norms that are not finite raise ValueError."""
     residual = np.asarray(residual, dtype=float)
     if not 1 <= m < residual.shape[0]:
         raise ValueError(f"need 1 <= m < n, got m={m}")
-    norms = np.linalg.norm(residual, axis=1)
-    order = np.argsort(-norms, kind="stable")
+    order = np.argsort(-_row_norms(residual), kind="stable")
     return np.sort(order[:m])
 
 
@@ -516,8 +526,9 @@ def group_lasso(residual, lam, opts=None, init=None):
 
 def lambda_grid(residual, num=SolverOptions.gl_grid, floor_ratio=SolverOptions.lambda_floor):
     """Descending linspace from the largest row norm, the smallest penalty
-    whose solution is all-zero, down to floor_ratio * min row norm."""
-    norms = np.linalg.norm(np.asarray(residual, dtype=float), axis=1)
+    whose solution is all-zero, down to floor_ratio * min row norm; row
+    norms that are not finite raise ValueError."""
+    norms = _row_norms(residual)
     hi = float(norms.max())
     lo = floor_ratio * float(norms.min())
     if not lo < hi:

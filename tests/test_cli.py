@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import netcontrast
-from netcontrast import harness, support
+from netcontrast import harness, refine, support
 from netcontrast.cli import main
 from netcontrast.matio import read_matrix, write_matrix
 
@@ -307,6 +307,20 @@ def test_refine_all_estimators(dataset, tmp_path):
     assert np.array_equal(spec_est, spec_est.T)
 
 
+def test_refine_estimates_are_the_library_layout(dataset, tmp_path):
+    # four --y0 give refine.estimate's one layout: mhat1 splices the mean of
+    # copies 0, 2 with that of copies 1, 3, as the harness measures it
+    sup = load_meta(dataset)["supports"][0]
+    paths = [dataset / f"y0_0{i}.txt" for i in range(4)]
+    emit = tmp_path / "mats"
+    assert main(["refine", "--y0", *map(str, paths), "--rank", "2",
+                 "--support", ",".join(map(str, sup)), "--emit", str(emit),
+                 "--out", str(tmp_path / "ref.json")]) == 0
+    copies = [refine.mask_support(read_matrix(p), sup) for p in paths]
+    for meth, est, error in refine.estimate(refine.ESTIMATORS, 2, copies):
+        assert error is None and np.array_equal(read_matrix(emit / f"{meth}.txt"), est), meth
+
+
 def test_refine_contaminated_flag_and_failure_exit(dataset, tmp_path):
     meta = load_meta(dataset)
     sup = meta["supports"][0]
@@ -385,22 +399,44 @@ def test_recover_lse_matches_support(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def generate_huge(out_dir, sigma_b):
+    """The n = 40 planted perturbation b_00.txt at a huge scale; its support
+    is [9, 10, 27]."""
+    assert main(["generate", "--n", "40", "--r", "2", "--m", "3", "--sigma-b", sigma_b,
+                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    return out_dir / "b_00.txt"
+
+
 def test_recover_on_overflowing_input_writes_no_traceback_or_infinity(tmp_path, capsys):
     # finite entries near 1e200 overflow once squared: lse refuses them with
-    # one error line, and hard has no noise scale, so its tau is null
+    # one error line; near 1e153 they do not, and hard has no noise scale,
+    # so its tau is null
     def refuse(const):
         raise ValueError(f"not JSON: {const}")
 
-    assert main(["generate", "--n", "40", "--r", "2", "--m", "3", "--sigma-b", "1e200",
-                 "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    path = generate_huge(tmp_path / "e200", "1e200")
     capsys.readouterr()
-    assert main(lse_argv(tmp_path / "b_00.txt", 3)) == 1
+    assert main(lse_argv(path, 3)) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: --method lse: ") and err.count("\n") == 1
-    assert main(["recover", "--y1", str(tmp_path / "b_00.txt"), "--rank", "0", "--no-screen",
+    path = generate_huge(tmp_path / "e153", "1e153")
+    capsys.readouterr()
+    assert main(["recover", "--y1", str(path), "--rank", "0", "--no-screen",
                  "--method", "hard", "--m", "3"]) == 0
     rec = json.loads(capsys.readouterr().out, parse_constant=refuse)
-    assert rec["tau"] is None and len(rec["support"]) == 3
+    assert rec["tau"] is None and rec["support"] == [9, 10, 27]
+
+
+@pytest.mark.parametrize("method", ["hard", "glasso"])
+def test_recover_refuses_row_norms_that_overflow(tmp_path, capsys, method):
+    # every row norm of the 1e200 set is inf; both methods used to return
+    # the first three nodes as a converged support and exit 0
+    path = generate_huge(tmp_path, "1e200")
+    capsys.readouterr()
+    assert main(["recover", "--y1", str(path), "--rank", "0", "--no-screen",
+                 "--method", method, "--m", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --method {method}: residual row norms are not finite\n"
 
 
 def upper_energy(y, support):

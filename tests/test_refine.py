@@ -495,8 +495,9 @@ def test_average_matches_stacked_mean():
 
 
 def test_estimate_matches_direct_calls():
-    # the harness layout: mhat1 on the averaged halves equals mhat1 on the
-    # mean of two composites bit for bit; mhat2 whitens copies 0, 1 by 2, 3
+    # the one layout: mhat1 splices the mean of copies 0, 2 with that of
+    # copies 1, 3 (bit for bit the mean of the two composites), and mhat2
+    # splices copies 0 and 1 and whitens with copies 2 and 3
     c = refine_copies(90, 31)
     dec1 = asymmetric_eigenpairs(0.5 * (asymmetric_combine(c[0], c[1])
                                         + asymmetric_combine(c[2], c[3])), 3)
@@ -506,41 +507,27 @@ def test_estimate_matches_direct_calls():
         "mhat1": reconstruct_symmetric(debiased_eigenvectors(dec1), dec1.values),
         "mhat2": whitened_reconstruction(dec2, eigenspace_correction(dec2, c[2], c[3])),
     }
-    layouts = {"spec": (c[0], c[1]), "mhat1": (0.5 * (c[0] + c[2]), 0.5 * (c[1] + c[3])),
-               "mhat2": (c[0], c[1], c[2:])}
+    out = estimate(ESTIMATORS, 3, c)
+    assert [name for name, _, _ in out] == list(ESTIMATORS)
+    for name, est, error in out:
+        assert error is None and np.array_equal(est, direct[name]), name
     for meth in ESTIMATORS:
-        ((name, est, error),) = estimate((meth,), 3, c, *layouts[meth])
+        ((name, est, error),) = estimate((meth,), 3, c)
         assert name == meth and error is None
         assert np.array_equal(est, direct[meth]), meth
-    # one call on the composite of copies 0, 1 gives the same mhat2 and spec
-    out = estimate(ESTIMATORS, 3, c, c[0], c[1], c[2:])
-    assert [name for name, _, _ in out] == list(ESTIMATORS)
-    assert np.array_equal(out[0][1], direct["spec"])
-    assert np.array_equal(out[2][1], direct["mhat2"])
-
-
-def test_estimate_shares_one_eigensolve(monkeypatch):
-    calls = []
-    original = refine.asymmetric_eigenpairs
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(refine, "asymmetric_eigenpairs", counting)
-    c = refine_copies(90, 32)
-    out = estimate(("mhat2", "spec", "mhat1"), 3, c, c[0], c[1], c[2:])
-    assert [error for _, _, error in out] == [None, None, None]
-    assert len(calls) == 1
+    # with two copies mhat1's composite is the splice of those two
+    ((_, est, _),) = estimate(("mhat1",), 3, c[:2])
+    assert np.array_equal(est, reconstruct_symmetric(debiased_eigenvectors(dec2), dec2.values))
 
 
 def test_estimate_reports_failures_as_messages(monkeypatch):
-    c = refine_copies(60, 33, count=3)
-    out = estimate(("mhat1", "mhat2"), 3, c, c[0], c[1], c[2:])
+    c = refine_copies(60, 33)
+    out = estimate(("mhat1", "mhat2"), 3, c[:3])
     assert out[0][2] is None and out[0][1].shape == (60, 60)
-    assert out[1] == ("mhat2", None, "mhat2 needs two extra control matrices")
-    # a failed eigensolve fails both of its estimators, with its message, and
-    # is not repeated for the second
+    assert out[1] == ("mhat2", None, "mhat2 needs 4 copies, got 3")
+    assert estimate(("mhat1",), 3, c[:1]) == [("mhat1", None, "mhat1 needs 2 copies, got 1")]
+    # at rank 0 each mhat estimator fails in its own eigensolve, with its
+    # own message
     calls = []
     original = refine.asymmetric_eigenpairs
 
@@ -549,12 +536,13 @@ def test_estimate_reports_failures_as_messages(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(refine, "asymmetric_eigenpairs", counting)
-    out = estimate(("spec", "mhat1", "mhat2"), 0, c, c[0], c[1], c[1:])
+    out = estimate(("spec", "mhat1", "mhat2"), 0, c)
     assert out[0][2] is None and not out[0][1].any()
-    assert [error for _, _, error in out[1:]] == ["need 1 <= rank <= n, got rank=0"] * 2
-    assert len(calls) == 1
+    assert out[1:] == [(meth, None, "need 1 <= rank <= n, got rank=0")
+                       for meth in ("mhat1", "mhat2")]
+    assert len(calls) == 2
     with pytest.raises(ValueError, match="among"):
-        estimate(("spec", "mhat3"), 3, c, c[0], c[1])
+        estimate(("spec", "mhat3"), 3, c)
 
 
 def test_entry_error():

@@ -396,6 +396,16 @@ def test_exhaustive_refuses_a_residual_whose_squares_overflow():
             exhaustive_support(big, m)
 
 
+def test_row_norm_methods_refuse_norms_that_overflow():
+    # entries of 1e200 are finite, but every row norm is inf: hard and the
+    # group-lasso path refuse them instead of taking the first m rows
+    big = np.full((6, 6), 1e200)
+    with pytest.raises(ValueError, match="row norms are not finite"):
+        hard_threshold(big, 2)
+    with pytest.raises(ValueError, match="row norms are not finite"):
+        group_lasso_support(big, 2)
+
+
 def test_exhaustive_lex_smallest_on_ties():
     assert np.array_equal(exhaustive_support(np.zeros((6, 6)), 2), [0, 1])
     # above n/2 the complements are scored, in the reverse order
