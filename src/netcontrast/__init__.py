@@ -30,7 +30,6 @@ from .spectral import (
     stage_one,
 )
 from .support import (
-    GroupLassoPath,
     GroupLassoResult,
     MSelection,
     SdpSolution,

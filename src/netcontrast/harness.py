@@ -726,9 +726,8 @@ def _build_path(cfg):
         drawn = labels[:grid.size]
 
         def active_counts(rng):
-            path = support.group_lasso_path(y, grid, opts)
-            return {label: (float((path.alphas[t] > 0).sum()), bool(path.converged[t]))
-                    for t, label in enumerate(drawn)}
+            return {label: (float((res.alpha > 0).sum()), bool(res.converged))
+                    for label, res in zip(drawn, support.group_lasso_path(y, grid, opts))}
         return {"active-count": active_counts,
                 "penalty": lambda rng: {label: (float(grid[t]), True)
                                         for t, label in enumerate(drawn)}}

@@ -158,7 +158,8 @@ def estimate(methods, rank, copies):
     the shared matrix: spec truncates the mean of all copies, mhat1 debiases
     the eigenpairs of the composite that splices the mean of the
     even-numbered copies with the mean of the odd-numbered ones, and mhat2
-    splices copies 0 and 1 and whitens with copies 2 and 3, so it needs four.
+    puts copy j in slot j mod 4, splices the means of slots 0 and 1 and
+    whitens with the means of slots 2 and 3, so it needs four.
     A LinAlgError or ValueError gives its message, not the exception, whose
     traceback would keep the n x n matrices of its frames alive."""
     if not set(methods) <= set(ESTIMATORS):
@@ -177,9 +178,9 @@ def estimate(methods, rank, copies):
             elif len(copies) < 4:
                 raise ValueError(f"mhat2 needs 4 copies, got {len(copies)}")
             else:
-                dec = asymmetric_eigenpairs(asymmetric_combine(copies[0], copies[1]), rank)
-                est = whitened_reconstruction(
-                    dec, eigenspace_correction(dec, copies[2], copies[3]))
+                slots = [_average(copies[k::4]) for k in range(4)]
+                dec = asymmetric_eigenpairs(asymmetric_combine(slots[0], slots[1]), rank)
+                est = whitened_reconstruction(dec, eigenspace_correction(dec, *slots[2:]))
         except (np.linalg.LinAlgError, ValueError) as exc:
             logger.warning("estimator %s failed: %s", meth, exc)
             out.append((meth, None, str(exc)))

@@ -32,29 +32,29 @@ _CHUNK = 65_536          # supports exhaustive_support scores per numpy pass
 # ---------------------------------------------------------------------------
 # cost construction
 
-def build_cost(residuals, mode="single", tau=None):
-    """Cost matrix for the support SDP.
+def build_cost(residuals, method="sdp", tau=None):
+    """Cost matrix of the support SDP named method (a METHODS name).
 
-    single:    elementwise square of the (averaged) residual
-    truncated: entrywise min of the square and tau^2
-    multi:     split copies into two halves, average each, take the
+    sdp:       elementwise square of the (averaged) residual
+    sdp-trunc: entrywise min of that square and tau^2
+    sdp-multi: split copies into two halves, average each, take the
                entrywise product (may be negative)
     """
     mats = [residuals] if isinstance(residuals, np.ndarray) else list(residuals)
-    if mode in ("single", "truncated"):
-        avg = _average(mats)
-        c = avg * avg
-        if mode == "truncated":
-            if tau is None or tau <= 0:
-                raise ValueError("truncated mode needs tau > 0")
-            c = np.minimum(c, tau * tau)
-        return c
-    if mode == "multi":
+    if method == "sdp-multi":
         if len(mats) < 2:
-            raise ValueError("multi mode needs at least 2 residual copies")
+            raise ValueError("sdp-multi needs at least 2 residual copies")
         half = (len(mats) + 1) // 2
-        return _average(mats[:half]) * _average(mats[half:])
-    raise ValueError(f"unknown cost mode {mode!r}")
+        left, right = _average(mats[:half]), _average(mats[half:])
+    elif method in ("sdp", "sdp-trunc"):
+        left = right = _average(mats)
+        if method == "sdp-trunc" and (tau is None or tau <= 0):
+            raise ValueError("sdp-trunc needs tau > 0")
+    else:
+        raise ValueError(f"unknown SDP cost {method!r}")
+    with np.errstate(over="ignore"):  # solve_sdp refuses a cost that is not finite
+        c = left * right
+    return np.minimum(c, tau * tau) if method == "sdp-trunc" else c
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,8 @@ def solve_sdp(cost, m, opts=None, rng=None):
     Parameters
     ----------
     cost : ndarray
-        Symmetric: a max |C - C^T| entry above 1e-6 times max |C| raises.
+        Symmetric: a max |C - C^T| entry above 1e-6 times max |C| raises,
+        and so does a Frobenius norm that is not finite.
     m : int
         Support size, 1 <= m < n.
     """
@@ -232,16 +233,20 @@ def solve_sdp(cost, m, opts=None, rng=None):
         raise ValueError(f"cost must be square, got {c.shape}")
     if not 1 <= m < nt:
         raise ValueError(f"support size must satisfy 1 <= m < n, got m={m}, n={nt}")
-    # the gradient 2 C X and the line search both assume C = C^T
-    dev = float(np.max(np.abs(c - c.T)))
+    # the gradient 2 C X and the line search both assume C = C^T; the
+    # descent runs on C / |C|_F, so that norm must be finite too
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        dev = float(np.max(np.abs(c - c.T)))
+        scale = float(np.linalg.norm(c))
     if not dev <= 1e-6 * float(np.max(np.abs(c))):
         raise ValueError(f"cost must be finite and symmetric (max |C - C^T| = {dev:.3g})")
+    if not math.isfinite(scale):
+        raise ValueError("cost Frobenius norm is not finite")
     opts = opts or SolverOptions()
     rng = rng if rng is not None else np.random.default_rng(_SEED)
     k = float(nt - m)
     ra, ry = k / nt, math.sqrt(k - k * k / nt)
     p = min(opts.sdp_rank, nt)
-    scale = float(np.linalg.norm(c))
     ch = c / scale if scale > 0 else c
     c1 = ch @ np.ones(nt)
 
@@ -480,8 +485,12 @@ def group_lasso(residual, lam, opts=None, init=None):
     if not np.array_equal(y, y.T):
         y = 0.5 * (y + y.T)
     nt = y.shape[0]
-    y2 = np.einsum("ij,ij->i", y, y)
-    tol = 1e-7 * math.sqrt(float(y2.sum())) if opts.gl_tol is None else opts.gl_tol
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        y2 = np.einsum("ij,ij->i", y, y)
+        energy = float(y2.sum())
+    if not math.isfinite(energy):
+        raise ValueError("squared residual does not sum to a finite number")
+    tol = 1e-7 * math.sqrt(energy) if opts.gl_tol is None else opts.gl_tol
     factor, lam_prev, grad_prev = init or (np.zeros((nt, nt)), math.sqrt(y2.max()), np.sqrt(y2))
     work = factor.any(axis=1) | (grad_prev >= 2.0 * lam - lam_prev)
     rows = np.flatnonzero(work)
@@ -536,46 +545,30 @@ def lambda_grid(residual, num=SolverOptions.gl_grid, floor_ratio=SolverOptions.l
     return np.linspace(hi, lo, num)
 
 
-@dataclass
-class GroupLassoPath:
-    alphas: np.ndarray            # grid x n row norms
-    activation_lambda: np.ndarray  # first (largest) active lambda per node, nan if never
-    converged: np.ndarray
-
-
 def group_lasso_path(residual, grid, opts=None):
-    """Warm-started group lasso down a strictly descending positive penalty
-    grid; opts is the SolverOptions of every group_lasso call."""
+    """Yield the GroupLassoResult at each point of a nonnegative, strictly
+    descending penalty grid, each solve warm-started from the one before;
+    opts is the SolverOptions of every group_lasso call."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ValueError("grid must be positive")
-    if grid.size > 1 and np.any(np.diff(grid) >= 0):
-        raise ValueError("grid must be strictly descending")
-    alphas = np.zeros((grid.size, len(residual)))
-    conv = np.zeros(grid.size, dtype=bool)
+    if grid.size == 0 or not (np.all(grid >= 0) and np.all(np.diff(grid) < 0)):
+        raise ValueError("grid must be nonempty, nonnegative and strictly descending")
     state = None
-    for t, lam in enumerate(grid):
+    for lam in grid:
         res = group_lasso(residual, lam, opts, init=state)
+        yield res
         state = (res.factor, lam, res.grad_norms)
-        alphas[t] = res.alpha
-        conv[t] = res.converged
-    active = alphas > 1e-6 * float(alphas.max())
-    activation = np.where(active.any(axis=0), grid[active.argmax(axis=0)], np.nan)
-    return GroupLassoPath(alphas=alphas, activation_lambda=activation, converged=conv)
 
 
 def group_lasso_support(residual, m, opts=None):
-    """(support, last GroupLassoResult) of the penalty path over
+    """(support, last GroupLassoResult) of group_lasso_path over
     lambda_grid(y, opts.gl_grid, opts.lambda_floor): descend until at least
     m rows are active, then take the m largest row norms (falls back to the
     last grid point)."""
     if not 1 <= m < len(residual):
         raise ValueError(f"need 1 <= m < n, got m={m}")
     opts = opts or SolverOptions()
-    state = None
-    for lam in lambda_grid(residual, opts.gl_grid, opts.lambda_floor):
-        res = group_lasso(residual, lam, opts, init=state)
-        state = (res.factor, lam, res.grad_norms)
+    for res in group_lasso_path(residual, lambda_grid(residual, opts.gl_grid, opts.lambda_floor),
+                                opts):
         if int((res.alpha > 0).sum()) >= m:
             break
     return np.sort(np.argsort(-res.alpha, kind="stable")[:m]), res
@@ -610,12 +603,6 @@ def recover(method, residuals, m, tau=None, kept=None, opts=None, rng=None):
     elif method == "lse":
         idx = exhaustive_support(avg, m)
     else:
-        if method == "sdp":
-            cost = build_cost(avg)
-        elif method == "sdp-trunc":
-            cost = build_cost(avg, mode="truncated", tau=tau)
-        else:
-            cost = build_cost(residuals, mode="multi")
-        sol = solve_sdp(cost, m, opts=opts, rng=rng)
+        sol = solve_sdp(build_cost(residuals, method, tau), m, opts=opts, rng=rng)
         idx = extract_support(sol, m)
     return (idx if kept is None else np.asarray(kept, dtype=int)[idx]), sol

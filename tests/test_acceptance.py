@@ -181,9 +181,8 @@ def test_path_activation_is_one_way_and_signal_first():
     for trial in range(20):
         y, sup, m = _path_instance(n, trial)
         grid = lambda_grid(y, num=60)
-        path = group_lasso_path(y, grid)
-        act_tol = 1e-6 * float(path.alphas.max())
-        active = path.alphas > act_tol
+        alphas = np.stack([res.alpha for res in group_lasso_path(y, grid)])
+        active = alphas > 1e-6 * float(alphas.max())
         # (a) once a node activates it never deactivates at smaller penalties
         for i in range(n):
             hits = np.flatnonzero(active[:, i])
@@ -191,7 +190,7 @@ def test_path_activation_is_one_way_and_signal_first():
                 assert np.array_equal(hits, np.arange(hits[0], active.shape[0])), (
                     f"trial {trial}: node {i} deactivated along the path")
         # (c) the m signal nodes are among the first m+1 activations
-        act = path.activation_lambda
+        act = np.where(active.any(axis=0), grid[active.argmax(axis=0)], np.nan)
         order = np.argsort(-np.nan_to_num(act, nan=-np.inf), kind="stable")
         first = set(order[: m + 1].tolist())
         signal_first += set(sup.tolist()) <= first

@@ -439,6 +439,36 @@ def test_recover_refuses_row_norms_that_overflow(tmp_path, capsys, method):
     assert out == "" and err == f"error: --method {method}: residual row norms are not finite\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma_b, methods", [
+    ("1e80", ["sdp", "sdp-trunc"]),
+    ("1e153", ["sdp", "sdp-trunc", "glasso"]),
+    ("1e200", ["sdp", "sdp-trunc", "glasso"]),
+])
+def test_recover_refuses_overflowing_costs_with_one_error_line(tmp_path, capsys, sigma_b,
+                                                                methods):
+    # at 1e80 the SDP cost's norm overflows, which scaled the cost to zero and
+    # certified support [0, 1, 2]; at 1e153 the group lasso's total energy
+    # overflows, which made its tolerance inf
+    path = generate_huge(tmp_path, sigma_b)
+    for method in methods:
+        capsys.readouterr()
+        assert main(["recover", "--y1", str(path), "--rank", "0", "--no-screen",
+                     "--method", method, "--m", "3"]) == 1, method
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: --method {method}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["hard", "glasso"])
+def test_recover_row_norm_methods_find_the_support_at_1e80(tmp_path, capsys, method):
+    path = generate_huge(tmp_path, "1e80")
+    capsys.readouterr()
+    assert main(["recover", "--y1", str(path), "--rank", "0", "--no-screen",
+                 "--method", method, "--m", "3"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["support"] == [9, 10, 27] and rec["converged"]
+
+
 def upper_energy(y, support):
     comp = np.setdiff1d(np.arange(y.shape[0]), support)
     block = y[np.ix_(comp, comp)]

@@ -520,6 +520,19 @@ def test_estimate_matches_direct_calls():
     assert np.array_equal(est, reconstruct_symmetric(debiased_eigenvectors(dec2), dec2.values))
 
 
+def test_mhat2_averages_copy_j_into_slot_j_mod_4():
+    # every copy counts: of 6 copies, slots 0 and 1 hold the means of
+    # copies 0, 4 and 1, 5, and slots 2 and 3 hold copies 2 and 3
+    c = refine_copies(90, 35, count=6)
+    slots = [0.5 * (c[0] + c[4]), 0.5 * (c[1] + c[5]), c[2], c[3]]
+    dec = asymmetric_eigenpairs(asymmetric_combine(slots[0], slots[1]), 3)
+    want = whitened_reconstruction(dec, eigenspace_correction(dec, slots[2], slots[3]))
+    ((_, est, error),) = estimate(("mhat2",), 3, c)
+    assert error is None and np.array_equal(est, want)
+    ((_, first_four, _),) = estimate(("mhat2",), 3, c[:4])
+    assert not np.array_equal(est, first_four)
+
+
 def test_estimate_reports_failures_as_messages(monkeypatch):
     c = refine_copies(60, 33)
     out = estimate(("mhat1", "mhat2"), 3, c[:3])

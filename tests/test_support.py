@@ -61,7 +61,7 @@ def test_cost_single_averages_copies():
 
 def test_cost_truncated_caps_at_tau_squared():
     y = np.array([[0.0, 3.0], [3.0, 0.5]])
-    c = build_cost(y, mode="truncated", tau=1.0)
+    c = build_cost(y, "sdp-trunc", tau=1.0)
     assert c.max() <= 1.0
     assert np.allclose(c, [[0.0, 1.0], [1.0, 0.25]])
 
@@ -69,15 +69,15 @@ def test_cost_truncated_caps_at_tau_squared():
 def test_cost_truncated_needs_positive_tau():
     y = np.eye(3)
     with pytest.raises(ValueError):
-        build_cost(y, mode="truncated")
+        build_cost(y, "sdp-trunc")
     with pytest.raises(ValueError):
-        build_cost(y, mode="truncated", tau=0.0)
+        build_cost(y, "sdp-trunc", tau=0.0)
 
 
 def test_cost_multi_is_product_of_half_averages():
     rng = rng_of(2)
     mats = [rng.standard_normal((4, 4)) for _ in range(3)]
-    c = build_cost(mats, mode="multi")
+    c = build_cost(mats, "sdp-multi")
     expect = (mats[0] + mats[1]) / 2 * mats[2]
     assert np.allclose(c, expect)
     assert c.min() < 0  # cross products keep sign
@@ -85,12 +85,13 @@ def test_cost_multi_is_product_of_half_averages():
 
 def test_cost_multi_needs_two_copies():
     with pytest.raises(ValueError):
-        build_cost(np.eye(3), mode="multi")
+        build_cost(np.eye(3), "sdp-multi")
 
 
 def test_cost_unknown_mode():
-    with pytest.raises(ValueError):
-        build_cost(np.eye(3), mode="squared")
+    for method in ("squared", "glasso", "single"):
+        with pytest.raises(ValueError, match="unknown SDP cost"):
+            build_cost(np.eye(3), method)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +407,40 @@ def test_row_norm_methods_refuse_norms_that_overflow():
         group_lasso_support(big, 2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_group_lasso_refuses_a_residual_whose_squares_overflow():
+    # each row norm of 40 entries of 1e153 is finite, but their squares sum
+    # to inf, which made the default tolerance inf: every solve was "done"
+    big = np.full((40, 40), 1e153)
+    assert np.isfinite(np.linalg.norm(big, axis=1)).all()
+    with pytest.raises(ValueError, match="squared residual does not sum to a finite number"):
+        group_lasso(big, 1e150)
+    with pytest.raises(ValueError, match="squared residual does not sum to a finite number"):
+        group_lasso_support(big, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sdp_refuses_a_cost_whose_norm_overflows():
+    # finite symmetric entries of 1e160 whose Frobenius norm is inf: scaled
+    # by it the cost was all zeros, certified at once
+    with pytest.raises(ValueError, match="norm is not finite"):
+        solve_sdp(np.full((6, 6), 1e160), 2)
+    big = np.full((40, 40), 1e80)
+    for method in ("sdp", "sdp-trunc"):
+        with pytest.raises(ValueError, match="norm is not finite"):
+            support.recover(method, big, 3, tau=1e80)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["sdp", "sdp-trunc", "sdp-multi"])
+def test_sdp_methods_refuse_overflowing_costs_without_a_warning(method):
+    # squares of 1e200 overflow in build_cost (and so does sdp-trunc's cap
+    # tau^2 at tau = 1e200); the refusal is the one report
+    big = np.full((6, 6), 1e200)
+    with pytest.raises(ValueError, match="finite"):
+        support.recover(method, [big, big], 2, tau=1e200)
+
+
 def test_exhaustive_lex_smallest_on_ties():
     assert np.array_equal(exhaustive_support(np.zeros((6, 6)), 2), [0, 1])
     # above n/2 the complements are scored, in the reverse order
@@ -657,25 +692,58 @@ def test_lambda_grid_shape_and_bounds():
 
 def test_path_orders_activation_by_signal():
     resid, sup = planted_residual(30, 3, 2.5, 23, sigma=0.5)
-    path = group_lasso_path(resid, lambda_grid(resid))
+    grid = lambda_grid(resid)
+    path = list(group_lasso_path(resid, grid))
+    alphas = np.stack([res.alpha for res in path])
     comp = np.setdiff1d(np.arange(30), sup)
-    act = path.activation_lambda
+    # the first (largest) penalty at which each row is above 1e-6 times the
+    # path's largest row norm, nan if never
+    active = alphas > 1e-6 * float(alphas.max())
+    act = np.where(active.any(axis=0), grid[active.argmax(axis=0)], np.nan)
     assert np.all(np.isfinite(act[sup]))
     finite_comp = act[comp][np.isfinite(act[comp])]
     if finite_comp.size:
         assert act[sup].min() > finite_comp.max()
-    assert path.alphas.shape == (40, 30)
-    assert path.converged.all()
+    assert alphas.shape == (40, 30)
+    assert all(res.converged for res in path)
 
 
 def test_path_rejects_bad_grids():
     y = symmetric_noise(8, rng_of(24))
-    with pytest.raises(ValueError):
-        group_lasso_path(y, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        group_lasso_path(y, np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        group_lasso_path(y, np.array([]))
+    for grid in ([1.0, 1.0], [1.0, -0.5], [], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="grid"):
+            list(group_lasso_path(y, np.array(grid)))
+
+
+def test_path_accepts_every_lambda_grid():
+    # a zero row puts the grid's floor at 0, and a zero matrix gives [0.0]
+    y = symmetric_noise(8, rng_of(24))
+    y[3] = y[:, 3] = 0.0
+    grid = lambda_grid(y, 6)
+    assert grid[-1] == 0.0
+    path = list(group_lasso_path(y, grid))
+    assert len(path) == 6 and all(res.converged for res in path)
+    assert np.allclose(path[-1].factor + path[-1].factor.T, y, atol=1e-5)
+    zero = np.zeros((4, 4))
+    (res,) = group_lasso_path(zero, lambda_grid(zero))
+    assert res.converged and np.all(res.factor == 0)
+
+
+def test_path_warm_starts_each_point_from_the_one_before(monkeypatch):
+    y = symmetric_noise(10, rng_of(26))
+    grid = lambda_grid(y, 5)
+    inits = []
+    solve = support.group_lasso
+
+    def spy(residual, lam, opts=None, init=None):
+        inits.append(init)
+        return solve(residual, lam, opts, init)
+
+    monkeypatch.setattr(support, "group_lasso", spy)
+    path = list(group_lasso_path(y, grid))
+    assert inits[0] is None
+    for prev, lam, init in zip(path, grid, inits[1:]):
+        assert init[0] is prev.factor and init[1] == lam and init[2] is prev.grad_norms
 
 
 def test_group_lasso_support_recovers_planted():
@@ -706,20 +774,21 @@ def _direct_support(method, copies, m, tau, opts, rng):
     if method == "glasso":
         # the first point of the path over lambda_grid(avg, 12, 0.7) with m
         # active rows, else the last; its m largest row norms
-        path = group_lasso_path(avg, lambda_grid(avg, 12, 0.7), opts)
-        active = (path.alphas > 0).sum(axis=1) >= m
-        alpha = path.alphas[np.argmax(active) if active.any() else -1]
+        alphas = np.stack([res.alpha for res in
+                           group_lasso_path(avg, lambda_grid(avg, 12, 0.7), opts)])
+        active = (alphas > 0).sum(axis=1) >= m
+        alpha = alphas[np.argmax(active) if active.any() else -1]
         return np.sort(np.argsort(-alpha, kind="stable")[:m])
     if method == "hard":
         return hard_threshold(avg, m)
     if method == "lse":
         return exhaustive_support(avg, m)
     if method == "sdp":
-        cost = build_cost(avg)
+        cost = avg * avg
     elif method == "sdp-trunc":
-        cost = build_cost(avg, mode="truncated", tau=tau)
+        cost = np.minimum(avg * avg, tau * tau)
     else:
-        cost = build_cost(copies, mode="multi")
+        cost = copies[0] * copies[1]
     return extract_support(solve_sdp(cost, m, opts=opts, rng=rng), m)
 
 
