@@ -635,7 +635,7 @@ def _refine_runs(methods, param, r, basis, vals, noise, data_rng):
     """One trial's run per refinement estimator: its linf error at param,
     from four noisy copies of the planted matrix (refine.estimate's layout)."""
     mstar = model.GroundTruth(basis=basis, eigenvalues=vals).shared_matrix()
-    copies = [mstar + model.sample_noise(basis.shape[0], noise, data_rng) for _ in range(4)]
+    copies = [model._noisy(mstar, noise, data_rng) for _ in range(4)]
 
     def run(meth, rng):
         ((_, est, _),) = refine.estimate((meth,), r, copies)

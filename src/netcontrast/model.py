@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .spectral import _TILE, _symmetric_product
+
 logger = logging.getLogger(__name__)
 
 NOISE_FAMILIES = (
@@ -135,7 +137,8 @@ def sample_decoy_perturbation(n, rng):
 class NoiseSpec:
     """Symmetric noise family and scale.
 
-    family is one of NOISE_FAMILIES; sigma multiplies every family.  The
+    family is one of NOISE_FAMILIES; sigma, finite and >= 0, multiplies
+    every family, and sigma_min and sigma_max must be finite.  The
     heteroscedastic families draw per-row (or per-entry) factors from
     [sigma_min, sigma_max]; the row family follows the squared-sum
     construction W = W0 ∘ (S0 + S0.T) with S0 rows sigma_i^2. scaled-t4
@@ -153,8 +156,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma_min) and math.isfinite(self.sigma_max)):
+            raise ValueError(f"sigma_min and sigma_max must be finite, "
+                             f"got {self.sigma_min} and {self.sigma_max}")
         if self.truncation is not None and not self.truncation > 0:
             raise ValueError(f"truncation must be > 0, got {self.truncation}")
         if self.family in ("gaussian-entry-hetero", "gaussian-row-hetero"):
@@ -163,31 +169,56 @@ class NoiseSpec:
 
 
 def _mirror_upper(a):
-    # bit-exact symmetrization from the upper triangle (diagonal included)
-    return np.triu(a) + np.triu(a, 1).T
+    """Copy the upper triangle of a (diagonal included) into the lower one,
+    in place, one pair of _TILE x _TILE blocks at a time; returns a.  Every
+    entry gets + 0.0, as in the sum triu(a) + triu(a, 1).T, so -0.0 becomes
+    +0.0."""
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        diag = a[i:i + _TILE, i:i + _TILE]
+        diag[...] = np.triu(diag) + np.triu(diag, 1).T
+        for j in range(i + _TILE, n, _TILE):
+            upper = a[i:i + _TILE, j:j + _TILE]
+            upper += 0.0
+            a[j:j + _TILE, i:i + _TILE] = upper.T
+    return a
 
 
 def sample_noise(n, spec, rng):
     """Draw one symmetric noise matrix from the family in a NoiseSpec."""
     if spec.family == "gaussian-iid":
-        w = _mirror_upper(spec.sigma * rng.standard_normal((n, n)))
+        w = rng.standard_normal((n, n))
+        w *= spec.sigma
+        _mirror_upper(w)
     elif spec.family == "scaled-t4":
-        raw = rng.standard_t(4.0, size=(n, n)) / math.sqrt(2.0)
-        w = _mirror_upper(spec.sigma * raw)
+        w = rng.standard_t(4.0, size=(n, n))
+        w /= math.sqrt(2.0)
+        w *= spec.sigma
+        _mirror_upper(w)
     elif spec.family == "uniform":
         half = math.sqrt(3.0) * spec.sigma
         w = _mirror_upper(rng.uniform(-half, half, size=(n, n)))
     elif spec.family == "gaussian-entry-hetero":
         scales = _mirror_upper(rng.uniform(spec.sigma_min, spec.sigma_max, size=(n, n)))
-        w = _mirror_upper(rng.standard_normal((n, n))) * scales * spec.sigma
+        w = _mirror_upper(rng.standard_normal((n, n)))
+        w *= scales
+        w *= spec.sigma
     elif spec.family == "gaussian-row-hetero":
         s2 = rng.uniform(spec.sigma_min, spec.sigma_max, size=n) ** 2
-        w0 = _mirror_upper(rng.standard_normal((n, n)))
-        w = w0 * (s2[:, None] + s2[None, :]) * spec.sigma
+        w = _mirror_upper(rng.standard_normal((n, n)))
+        w *= s2[:, None] + s2[None, :]
+        w *= spec.sigma
     else:  # pragma: no cover - guarded by NoiseSpec
         raise ValueError(f"unknown noise family {spec.family!r}")
     if spec.truncation is not None:
-        w = np.clip(w, -spec.truncation, spec.truncation)
+        np.clip(w, -spec.truncation, spec.truncation, out=w)
+    return w
+
+
+def _noisy(signal, spec, rng):
+    """signal plus one sample_noise draw, added into the fresh draw."""
+    w = sample_noise(signal.shape[0], spec, rng)
+    w += signal
     return w
 
 
@@ -230,8 +261,7 @@ class GroundTruth:
         return float(mags[0] / mags[-1])
 
     def shared_matrix(self):
-        a = (self.basis * self.eigenvalues) @ self.basis.T
-        return 0.5 * (a + a.T)
+        return _symmetric_product(self.basis, self.eigenvalues)
 
 
 @dataclass
@@ -253,7 +283,6 @@ def assemble_observations(truth, spec, n0, n1, rng, shared=False):
     if n0 < 1:
         raise ValueError("need at least one control observation")
     m_star = truth.shared_matrix()
-    n = truth.n
     if shared:
         if not truth.perturbations:
             raise ValueError("shared=True needs at least one perturbation")
@@ -264,6 +293,6 @@ def assemble_observations(truth, spec, n0, n1, rng, shared=False):
                 f"n1={n1} does not match {len(truth.perturbations)} perturbations"
             )
         perturbs = [b for b, _ in truth.perturbations]
-    g0 = [m_star + sample_noise(n, spec, rng) for _ in range(n0)]
-    g1 = [m_star + b + sample_noise(n, spec, rng) for b in perturbs]
+    g0 = [_noisy(m_star, spec, rng) for _ in range(n0)]
+    g1 = [_noisy(m_star + b, spec, rng) for b in perturbs]
     return ObservationSet(g0=g0, g1=g1)

@@ -14,7 +14,8 @@ import logging
 
 import numpy as np
 
-from .spectral import RankDecomposition, _average, _sign_fix, _top_eigenpairs, spectral_init
+from .spectral import (RankDecomposition, _TILE, _average, _copies, _mean, _sign_fix,
+                       _symmetric_product, _top_eigenpairs, spectral_init)
 
 logger = logging.getLogger(__name__)
 
@@ -32,12 +33,27 @@ def mask_support(mat, support):
 
 def asymmetric_combine(upper, lower):
     """Strict upper triangle from the first view, lower triangle and diagonal
-    from the second."""
-    upper = np.asarray(upper, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    if upper.shape != lower.shape or upper.ndim != 2 or upper.shape[0] != upper.shape[1]:
+    from the second, in one fresh array.
+
+    Each view is one matrix or a list of copies that stands for their mean,
+    as in spectral._average.  The composite is built one _TILE x _TILE block
+    at a time, from the block mean of the view it reads there, so neither
+    mean is formed in full.  Raises ValueError on views that are not square
+    matrices of equal shape, or on a block mean that is not finite."""
+    upper, lower = _copies(upper), _copies(lower)
+    n = upper[0].shape[0]
+    if lower[0].shape != (n, n):
         raise ValueError("views must be square matrices of equal shape")
-    return np.triu(upper, 1) + np.tril(lower, 0)
+    out = np.empty((n, n))
+    for i in range(0, n, _TILE):
+        for j in range(0, n, _TILE):
+            block = (slice(i, i + _TILE), slice(j, j + _TILE))
+            if i == j:
+                np.add(np.triu(_mean(upper, block), 1), np.tril(_mean(lower, block), 0),
+                       out=out[block])
+            else:  # + 0.0 as in the sum of the two triangles: -0.0 becomes +0.0
+                np.add(_mean(upper if j > i else lower, block), 0.0, out=out[block])
+    return out
 
 
 def asymmetric_eigenpairs(mat, rank):
@@ -105,8 +121,7 @@ def debiased_eigenvectors(dec):
 
 
 def reconstruct_symmetric(vectors, values):
-    recon = (vectors * values) @ vectors.T
-    return 0.5 * (recon + recon.T)
+    return _symmetric_product(vectors, values)
 
 
 def eigenspace_correction(dec, copy1, copy2):
@@ -172,15 +187,16 @@ def estimate(methods, rank, copies):
             elif meth == "mhat1":
                 if len(copies) < 2:
                     raise ValueError(f"mhat1 needs 2 copies, got {len(copies)}")
-                dec = asymmetric_eigenpairs(asymmetric_combine(
-                    _average(copies[0::2]), _average(copies[1::2])), rank)
+                dec = asymmetric_eigenpairs(
+                    asymmetric_combine(copies[0::2], copies[1::2]), rank)
                 est = reconstruct_symmetric(debiased_eigenvectors(dec), dec.values)
             elif len(copies) < 4:
                 raise ValueError(f"mhat2 needs 4 copies, got {len(copies)}")
             else:
-                slots = [_average(copies[k::4]) for k in range(4)]
-                dec = asymmetric_eigenpairs(asymmetric_combine(slots[0], slots[1]), rank)
-                est = whitened_reconstruction(dec, eigenspace_correction(dec, *slots[2:]))
+                dec = asymmetric_eigenpairs(
+                    asymmetric_combine(copies[0::4], copies[1::4]), rank)
+                est = whitened_reconstruction(dec, eigenspace_correction(
+                    dec, _average(copies[2::4]), _average(copies[3::4])))
         except (np.linalg.LinAlgError, ValueError) as exc:
             logger.warning("estimator %s failed: %s", meth, exc)
             out.append((meth, None, str(exc)))
@@ -190,5 +206,13 @@ def estimate(methods, rank, copies):
 
 
 def entry_error(a, b):
-    """Largest absolute entry difference."""
-    return float(np.max(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))))
+    """Largest absolute entry difference, NaN when one is NaN; reduced _TILE
+    rows at a time, with no temporary of the full shape."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
+    peaks = []
+    for i in range(0, len(a), _TILE):
+        diff = a[i:i + _TILE] - b[i:i + _TILE]
+        peaks.append(np.max(np.abs(diff, out=diff)))
+    return float(np.max(peaks))

@@ -10,6 +10,7 @@ C_SCREEN = 2.0          # default screening constant of select_low_coherence
 _KRYLOV_TOL = 1e-12     # _top_eigenpairs: Ritz residual bound, relative to |value|
 _KRYLOV_CHECK = 8       # steps between its checks of the Ritz pairs
 _KRYLOV_DIM = 120       # and the Krylov dimension past which it solves densely
+_TILE = 128             # block edge of the in-place and blockwise n x n passes
 
 
 @dataclass
@@ -30,8 +31,26 @@ class RankDecomposition:
         return self.right.shape[0]
 
     def reconstruct(self):
-        a = (self.right * self.values) @ self.right.T
-        return 0.5 * (a + a.T)
+        return _symmetric_product(self.right, self.values)
+
+
+def _symmetrize(a):
+    """a := 0.5 (a + a^T) in place, bit for bit, one pair of _TILE x _TILE
+    blocks at a time, so the transpose is read within a block; returns a."""
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE]
+            mean = upper + lower.T
+            mean *= 0.5
+            upper[...] = mean
+            lower[...] = mean.T
+    return a
+
+
+def _symmetric_product(vectors, values):
+    """The symmetrized V diag(values) V^T, in one fresh n x n array."""
+    return _symmetrize((vectors * values) @ vectors.T)
 
 
 def _sign_fix(vecs):
@@ -43,31 +62,47 @@ def _sign_fix(vecs):
     return vecs
 
 
+def _copies(mats):
+    """One square matrix or a nonempty list of equal-shape ones, as a list of
+    float arrays; raises ValueError otherwise."""
+    mats = [np.asarray(y, dtype=float)
+            for y in (mats if isinstance(mats, (list, tuple)) else [mats])]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"matrices must be square, got shape {shape}")
+    for y in mats[1:]:
+        if y.shape != shape:
+            raise ValueError(f"matrices must share one shape: {shape} vs {y.shape}")
+    return mats
+
+
+def _mean(mats, block=slice(None)):
+    """Elementwise mean of one block of a _copies list: summed in order and
+    divided by the count; one matrix's block comes back as a view.  Raises
+    ValueError when the mean is not finite."""
+    total = mats[0][block]
+    if len(mats) > 1:
+        total = total.copy()
+        for y in mats[1:]:
+            total += y[block]
+        total /= len(mats)
+    if not np.isfinite(total).all():
+        raise ValueError("matrices must be finite")
+    return total
+
+
 def _average(mats):
     """Elementwise mean of one square matrix or a list of equal-shape ones.
 
     Summed in order and divided by the count, which is bit for bit numpy's
     mean of the stacked matrices along axis 0, without the stacked copy; one
-    float matrix comes back as it is, not copied.  Raises ValueError on an
-    empty list, unequal or non-square shapes, or a non-finite mean.
+    float matrix comes back as a view of itself, not copied.  Raises
+    ValueError on an empty list, unequal or non-square shapes, or a
+    non-finite mean.
     """
-    mats = mats if isinstance(mats, (list, tuple)) else [mats]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    total = np.asarray(mats[0], dtype=float)
-    if total.ndim != 2 or total.shape[0] != total.shape[1]:
-        raise ValueError(f"matrices must be square, got shape {total.shape}")
-    if len(mats) > 1:
-        total = total.copy()
-        for y in mats[1:]:
-            y = np.asarray(y, dtype=float)
-            if y.shape != total.shape:
-                raise ValueError(f"matrices must share one shape: {total.shape} vs {y.shape}")
-            total += y
-        total /= len(mats)
-    if not np.isfinite(total).all():
-        raise ValueError("matrices must be finite")
-    return total
+    return _mean(_copies(mats))
 
 
 def _top_eigenpairs(mat, rank, symmetric=False):

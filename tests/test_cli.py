@@ -197,6 +197,29 @@ def test_generate_bad_input_exit_one(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["generate", "--sigma", "nan"], ["generate", "--sigma", "inf"],
+    ["generate", "--noise", "gaussian-row-hetero", "--sigma-max", "inf"],
+    ["generate", "--noise", "gaussian-entry-hetero", "--sigma-max", "inf"],
+    ["experiment", "--preset", "exp-snr", "--params", "2", "--methods", "hard",
+     "--set", "sigma=nan"],
+    ["experiment", "--preset", "exp-refine", "--n", "300", "--params", "mu=n**0.8|lmin=3",
+     "--set", "sigma=inf"],
+])
+def test_noise_scales_that_are_not_finite_exit_one(tmp_path, capsys, flags):
+    # NoiseSpec refuses them: one error line, and no file or row is written
+    out = tmp_path / "out"
+    if flags[0] == "generate":
+        argv = [*flags, "--n", "20", "--r", "2", "--m", "2", "--out-dir", str(out)]
+    else:
+        argv = [*flags, "--trials", "1", "--out", str(out)] + (
+            [] if "--n" in flags else ["--n", "60"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_recover_m_auto(dataset, tmp_path):
     meta = load_meta(dataset)
     out = tmp_path / "auto.json"

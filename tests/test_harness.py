@@ -229,6 +229,7 @@ def test_solver_settings_defaults_and_overrides():
     ("sdp_max_inner", "0"), ("gl_grid", "0"), ("gl_max_iter", "0"), ("sdp_rank", "two"),
     ("gl_tol", "0"), ("gl_tol", "-1"), ("lambda_floor", "0"), ("lambda_floor", "-0.5"),
     ("truncation", "0"), ("truncation", "-1"), ("gl_tol", "abc"), ("sigma", "abc"),
+    ("sigma", "nan"), ("sigma", "inf"), ("sigma_max", "inf"), ("sigma_min", "nan"),
 ])
 def test_bad_solver_settings_fail_at_plan_build(key, value):
     with pytest.raises(ConfigError, match=key):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netcontrast import model
 from netcontrast.model import (
     NOISE_FAMILIES,
     GroundTruth,
@@ -178,6 +179,71 @@ def test_noise_bad_family_rejected():
         NoiseSpec(family="cauchy")
 
 
+@pytest.mark.parametrize("fields", [
+    {"sigma": float("nan")}, {"sigma": float("inf")}, {"sigma": -float("inf")},
+    {"sigma": -1.0},
+    {"family": "gaussian-row-hetero", "sigma_max": float("inf")},
+    {"family": "gaussian-entry-hetero", "sigma_max": float("inf")},
+    {"family": "gaussian-entry-hetero", "sigma_min": float("nan")},
+    {"sigma_max": float("inf")}, {"sigma_min": float("nan")},
+])
+def test_noise_spec_refuses_scales_that_are_not_finite_and_nonnegative(fields):
+    with pytest.raises(ValueError, match="sigma"):
+        NoiseSpec(**fields)
+
+
+def with_signed_zeros(n, rng):
+    # a Gaussian matrix with about a fifth of its entries -0.0 and a fifth +0.0
+    a = rng.standard_normal((n, n))
+    u = rng.random((n, n))
+    a[u < 0.2] = -0.0
+    a[u > 0.8] = 0.0
+    return a
+
+
+def assert_same_bits(x, y):
+    assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_mirror_upper_is_the_sum_of_the_triangles_in_place(n):
+    a = with_signed_zeros(n, rng_of(n))
+    out = a.copy()
+    assert model._mirror_upper(out) is out
+    assert_same_bits(out, np.triu(a) + np.triu(a, 1).T)  # -0.0 + 0.0 is +0.0
+
+
+def old_noise(n, spec, rng):
+    # sample_noise as the sum of the triangles, written out
+    def mirror(a):
+        return np.triu(a) + np.triu(a, 1).T
+    if spec.family == "gaussian-iid":
+        w = mirror(spec.sigma * rng.standard_normal((n, n)))
+    elif spec.family == "scaled-t4":
+        w = mirror(spec.sigma * (rng.standard_t(4.0, size=(n, n)) / np.sqrt(2.0)))
+    elif spec.family == "uniform":
+        half = np.sqrt(3.0) * spec.sigma
+        w = mirror(rng.uniform(-half, half, size=(n, n)))
+    elif spec.family == "gaussian-entry-hetero":
+        scales = mirror(rng.uniform(spec.sigma_min, spec.sigma_max, size=(n, n)))
+        w = mirror(rng.standard_normal((n, n))) * scales * spec.sigma
+    else:
+        s2 = rng.uniform(spec.sigma_min, spec.sigma_max, size=n) ** 2
+        w = mirror(rng.standard_normal((n, n))) * (s2[:, None] + s2[None, :]) * spec.sigma
+    if spec.truncation is not None:
+        w = np.clip(w, -spec.truncation, spec.truncation)
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+@pytest.mark.parametrize("family", NOISE_FAMILIES)
+def test_sample_noise_draws_the_old_bits(n, family):
+    # sigma = 0 draws signed zeros, which the mirror turns into +0.0
+    for sigma, truncation in ((0.0, None), (1.5, None), (1.5, 1.0)):
+        spec = NoiseSpec(family=family, sigma=sigma, truncation=truncation)
+        assert_same_bits(sample_noise(n, spec, rng_of(n)), old_noise(n, spec, rng_of(n)))
+
+
 def test_gaussian_iid_moments():
     rng = rng_of(14)
     w = sample_noise(400, NoiseSpec(family="gaussian-iid", sigma=2.0), rng)
@@ -246,6 +312,18 @@ def test_ground_truth_ordering_and_shared_matrix():
     assert np.allclose(sorted(np.abs(top)), [5.0, 10.0, 20.0], atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_shared_matrix_is_the_symmetrized_product(n):
+    rng = rng_of(n)
+    r = min(n, 3)
+    gt = GroundTruth(basis=sample_incoherent_basis(n, r, 1.0, rng),
+                     eigenvalues=rng.standard_normal(r) * n)
+    basis = gt.basis.copy()
+    a = (gt.basis * gt.eigenvalues) @ gt.basis.T
+    assert_same_bits(gt.shared_matrix(), 0.5 * (a + a.T))
+    assert np.array_equal(gt.basis, basis)
+
+
 def test_ground_truth_metrics():
     gt, _ = planted_truth(n=100, r=3)
     n = 100
@@ -262,6 +340,19 @@ def test_assemble_observations_shapes_and_model():
     assert np.allclose(obs.g0[0], mstar)
     b, _ = gt.perturbations[0]
     assert np.allclose(obs.g1[0], mstar + b)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_assemble_observations_adds_the_signal_into_the_draws(sigma):
+    gt, _ = planted_truth(n=130, m=4)
+    spec = NoiseSpec(family="gaussian-iid", sigma=sigma)
+    obs = assemble_observations(gt, spec, 2, 1, rng_of(3))
+    rng = rng_of(3)
+    mstar, (b, _) = gt.shared_matrix(), gt.perturbations[0]
+    old = [mstar + old_noise(130, spec, rng) for _ in range(2)]
+    old.append(mstar + b + old_noise(130, spec, rng))
+    for new, want in zip(obs.g0 + obs.g1, old):
+        assert_same_bits(new, want)
 
 
 def test_assemble_observations_shared_flag():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from netcontrast import refine, spectral
-from netcontrast.model import GroundTruth, sample_incoherent_basis
+from netcontrast.model import GroundTruth, NoiseSpec, sample_incoherent_basis, sample_noise
 from netcontrast.refine import (
     ESTIMATORS,
     asymmetric_combine,
@@ -62,6 +64,54 @@ def test_asymmetric_combine_splices_triangles():
     assert np.all(c[np.tril_indices(4, 0)] == -3.0)
     with pytest.raises(ValueError):
         asymmetric_combine(np.eye(3), np.eye(4))
+
+
+def with_signed_zeros(n, rng):
+    # a Gaussian matrix with about a fifth of its entries -0.0 and a fifth +0.0
+    a = rng.standard_normal((n, n))
+    u = rng.random((n, n))
+    a[u < 0.2] = -0.0
+    a[u > 0.8] = 0.0
+    return a
+
+
+def assert_same_bits(x, y):
+    assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_asymmetric_combine_is_the_sum_of_the_triangles_of_the_means(n):
+    rng = rng_of(n)
+    mats = [with_signed_zeros(n, rng) for _ in range(6)]
+    kept = [m.copy() for m in mats]
+    for count in (1, 2, 3):
+        upper, lower = mats[:count], mats[3:3 + count]
+        want = np.triu(_average(upper), 1) + np.tril(_average(lower), 0)
+        assert_same_bits(asymmetric_combine(upper, lower), want)
+    assert_same_bits(asymmetric_combine(mats[0], mats[1]),
+                     np.triu(mats[0], 1) + np.tril(mats[1], 0))
+    for m, k in zip(mats, kept):
+        assert_same_bits(m, k)
+
+
+def test_asymmetric_combine_refuses_bad_views():
+    for upper, lower in ((np.eye(3), np.eye(4)), (np.ones((3, 4)), np.ones((3, 4))),
+                         ([np.eye(3), np.eye(4)], np.eye(3)), ([], np.eye(3)),
+                         (np.eye(3), [np.eye(3), np.ones((3, 4))])):
+        with pytest.raises(ValueError):
+            asymmetric_combine(upper, lower)
+    # a mean that is not finite where the composite reads it
+    huge = np.full((200, 200), 1e308)
+    for upper, lower in (([huge, huge], np.eye(200)), (np.eye(200), [huge, huge])):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="matrices must be finite"):
+            asymmetric_combine(upper, lower)
+
+
+def test_reconstruct_symmetric_is_the_old_formula():
+    rng = rng_of(3)
+    vecs, vals = rng.standard_normal((300, 3)), rng.standard_normal(3)
+    a = (vecs * vals) @ vecs.T
+    assert_same_bits(reconstruct_symmetric(vecs, vals), 0.5 * (a + a.T))
 
 
 def test_asymmetric_eigenpairs_noiseless_matches_truth():
@@ -563,3 +613,56 @@ def test_entry_error():
     b = np.array([[1.0, 2.5], [2.0, -1.0]])
     assert entry_error(a, b) == 0.5
     assert entry_error(a, a) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_entry_error_is_the_largest_absolute_difference(n):
+    rng = rng_of(n)
+    a, b = with_signed_zeros(n, rng), with_signed_zeros(n, rng)
+    kept = a.copy(), b.copy()
+    assert entry_error(a, b) == np.max(np.abs(a - b))
+    assert_same_bits(a, kept[0])
+    assert_same_bits(b, kept[1])
+    a[n - 1, 0] = np.nan   # in the last block of rows, as np.max would
+    assert np.isnan(entry_error(a, b))
+    with pytest.raises(ValueError, match="shapes differ"):
+        entry_error(a, np.ones((n + 1, n + 1)))   # which (1, 1) would broadcast to
+
+
+def peak_floats(fn, n):
+    """Peak traced memory of fn() above the memory held before, in n x n
+    float matrices."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / (8.0 * n * n)
+
+
+def test_a_refine_trial_holds_one_working_matrix():
+    # a trial as the harness runs it: one estimator at a time, then its
+    # error.  The kernels work in place or by blocks, so past the copies and
+    # mstar a trial needs the estimate, the composite or mean it is built
+    # from, and the Krylov basis of 121 vectors (0.3 n^2 at n = 400): it
+    # measured 1.64; the sums and transposes of whole matrices took 4.13
+    n = 400
+    gt, rng = planted(n, 3, 0, spread=(8.0, 6.0, 4.0))
+    mstar = gt.shared_matrix()
+    copies = [mstar + sample_noise(n, NoiseSpec(), rng) for _ in range(4)]
+
+    def trial():
+        for meth in ESTIMATORS:
+            ((_, est, _),) = estimate((meth,), 3, copies)
+            entry_error(est, mstar)
+            del est
+    assert peak_floats(trial, n) < 1.8
+
+
+def test_a_noise_draw_holds_one_matrix():
+    # the draw itself and the blocks of the mirror: it measured 1.36 at
+    # n = 400; the sum of the triangles took 3.13
+    n = 400
+    assert peak_floats(lambda: sample_noise(n, NoiseSpec(), rng_of(0)), n) < 1.5

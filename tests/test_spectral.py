@@ -12,6 +12,8 @@ from netcontrast.model import (
 from netcontrast.spectral import (
     RankDecomposition,
     _sign_fix,
+    _symmetric_product,
+    _symmetrize,
     estimate_noise_scale,
     form_residual,
     select_low_coherence,
@@ -99,6 +101,35 @@ def test_reconstruct_is_symmetric():
     y = gt.shared_matrix() + sample_noise(64, noise, rng)
     rec = spectral_init(y, 3).reconstruct()
     assert np.array_equal(rec, rec.T)
+
+
+def assert_same_bits(x, y):
+    assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_symmetrize_is_the_mean_with_the_transpose_in_place(n):
+    rng = rng_of(n)
+    a = rng.standard_normal((n, n))
+    u = rng.random((n, n))
+    a[u < 0.2] = -0.0   # -0.0 meets -0.0 and +0.0 across the diagonal
+    a[u > 0.8] = 0.0
+    out = a.copy()
+    assert _symmetrize(out) is out
+    assert_same_bits(out, 0.5 * (a + a.T))
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_symmetric_product_is_the_old_reconstruction(n):
+    rng = rng_of(n)
+    vecs, vals = rng.standard_normal((n, 3)), rng.standard_normal(3)
+    vecs[0] = -0.0
+    kept = vecs.copy(), vals.copy()
+    a = (vecs * vals) @ vecs.T
+    assert_same_bits(_symmetric_product(vecs, vals), 0.5 * (a + a.T))
+    dec = RankDecomposition(right=vecs, left=vecs, values=vals)
+    assert_same_bits(dec.reconstruct(), 0.5 * (a + a.T))
+    assert np.array_equal(vecs, kept[0]) and np.array_equal(vals, kept[1])
 
 
 def test_screening_keeps_quiet_rows_and_flags_spiky():
