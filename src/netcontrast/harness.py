@@ -392,6 +392,20 @@ def _support_runs(methods, param, resids, m, truth, **recover_kw):
     return {meth: partial(run, meth) for meth in methods}
 
 
+def _planted_runs(methods, noise, opts, param, basis, vals, m, sigma_b, c_screen,
+                  data_rng, pool=None):
+    """One trial's _support_runs on the planted model: a size-m perturbation
+    (its rows drawn from pool when given) on the shared matrix of basis and
+    vals, one control and one treatment, then stage one at rank
+    basis.shape[1], screening at c_screen (none when None)."""
+    n, r = basis.shape
+    b, truth_sup = model.sample_node_sparse(n, m, sigma_b, data_rng, support_pool=pool)
+    gt = model.GroundTruth(basis=basis, eigenvalues=vals, perturbations=[(b, truth_sup)])
+    obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
+    resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen)
+    return _support_runs(methods, param, resids, m, truth_sup, tau=tau, kept=kept, opts=opts)
+
+
 def _sizes(cfg, n_list, trials):
     """cfg's n list and trial count, else the preset's defaults."""
     return (n_list if cfg.n_list is None else cfg.n_list,
@@ -502,19 +516,13 @@ def _build_snr(cfg):
     sizes = _m_rule(o, "10", n_list, methods, r=r)
     points = _coefficient_points(cfg, params, o, n_list, r=r)
     eigenvalues = _eigenvalues(o, n_list, r)
-    noise = _noise_from(o, "gaussian-iid")
+    planted = partial(_planted_runs, methods, _noise_from(o, "gaussian-iid"), opts)
     c_screen = _positive(o, "c_screen", spectral.C_SCREEN, float)
 
     def cell(n, point, data_rng):
         param, sigma_b = point
-        m = sizes[n]
         basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
-        b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng)
-        gt = model.GroundTruth(basis=basis, eigenvalues=eigenvalues[n],
-                               perturbations=[(b, truth_sup)])
-        obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
-        resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen)
-        return _support_runs(methods, param, resids, m, truth_sup, tau=tau, kept=kept, opts=opts)
+        return planted(param, basis, eigenvalues[n], sizes[n], sigma_b[n], c_screen, data_rng)
 
     return _Plan(n_list, trials, methods, params, points, cell)
 
@@ -535,52 +543,34 @@ def _build_glfail(cfg):
 
     def cell(n, param, data_rng):
         b, signal, _ = model.sample_decoy_perturbation(n, data_rng)
-        y = b + model.sample_noise(n, noise, data_rng)
-        return _support_runs(methods, param, y, len(signal), signal, opts=opts)
+        return _support_runs(methods, param, model._noisy(b, noise, data_rng), len(signal),
+                             signal, opts=opts)
 
     return _Plan(n_list, trials, methods, params, params, cell)
 
 
-def _build_multicopy(cfg):
-    """Product cost from two copies vs squared averaged copy, row-hetero noise."""
+def _build_contrast(cfg, copies, family, allowed, default, c_default):
+    """Support costs on noisy copies of a planted perturbation: exp-multicopy
+    sets the product cost of two copies against the squared average under
+    row-hetero noise, exp-heavytail the truncated cost of one copy against
+    the vanilla one under scaled Student-t(4) noise."""
     n_list, trials = _sizes(cfg, (400,), 20)
-    methods = _check_methods(cfg, _TWO_COPIES_NO_TAU, ("sdp-multi", "sdp"))
-    params = cfg.params or ("3.2",)
+    methods = _check_methods(cfg, allowed, default)
+    params = cfg.params or (c_default,)
     o = cfg.options
     opts = solver_settings(o)
     sizes = _m_rule(o, "ceil(2*log(n))", n_list, methods)
     points = _coefficient_points(cfg, params, o, n_list)
-    noise = _noise_from(o, "gaussian-row-hetero")
+    noise = _noise_from(o, family)
 
     def cell(n, point, data_rng):
         param, sigma_b = point
         m = sizes[n]
         b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng)
-        y1 = b + model.sample_noise(n, noise, data_rng)
-        y2 = b + model.sample_noise(n, noise, data_rng)
-        return _support_runs(methods, param, [y1, y2], m, truth_sup, opts=opts)
-
-    return _Plan(n_list, trials, methods, params, points, cell)
-
-
-def _build_heavytail(cfg):
-    """Truncated vs vanilla cost under scaled Student-t(4) noise."""
-    n_list, trials = _sizes(cfg, (400,), 20)
-    methods = _check_methods(cfg, _ONE_COPY, ("sdp-trunc", "sdp"))
-    params = cfg.params or ("2.0",)
-    o = cfg.options
-    opts = solver_settings(o)
-    sizes = _m_rule(o, "ceil(2*log(n))", n_list, methods)
-    points = _coefficient_points(cfg, params, o, n_list)
-    noise = _noise_from(o, "scaled-t4")
-
-    def cell(n, point, data_rng):
-        param, sigma_b = point
-        m = sizes[n]
-        b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng)
-        y = b + model.sample_noise(n, noise, data_rng)
-        resids, _, tau = spectral.stage_one([y], [], 0, c_screen=None)
-        return _support_runs(methods, param, resids, m, truth_sup, tau=tau, opts=opts)
+        ys = [model._noisy(b, noise, data_rng) for _ in range(copies)]
+        # only sdp-trunc reads the noise scale: a rank-0 stage one's, of the first copy
+        tau = spectral.stage_one(ys[:1], [], 0, None)[2] if "sdp-trunc" in methods else None
+        return _support_runs(methods, param, ys, m, truth_sup, tau=tau, opts=opts)
 
     return _Plan(n_list, trials, methods, params, points, cell)
 
@@ -608,7 +598,7 @@ def _build_coherence(cfg):
     sb_expr = o.get("sigma_b", "2 * n**(-0.25) * log(n)**0.25")
     sigma_b = _rule_at(f"rule sigma_b = {sb_expr!r}", sb_expr, n_list, True, r=r)
     eigenvalues = _eigenvalues(o, n_list, r)
-    noise = _noise_from(o, "gaussian-iid")
+    planted = partial(_planted_runs, methods, _noise_from(o, "gaussian-iid"), opts)
     c_screen = _positive(o, "c_screen", spectral.C_SCREEN, float)
 
     def cell(n, point, data_rng):
@@ -617,23 +607,20 @@ def _build_coherence(cfg):
         basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
         pool = None
         if screen:
-            norms = np.linalg.norm(basis, axis=1)
-            quiet = np.flatnonzero(norms <= c_screen * n ** -0.25)
-            if quiet.size > m:
-                pool = quiet
-        b, truth_sup = model.sample_node_sparse(n, m, sigma_b[n], data_rng, support_pool=pool)
-        gt = model.GroundTruth(basis=basis, eigenvalues=eigenvalues[n],
-                               perturbations=[(b, truth_sup)])
-        obs = model.assemble_observations(gt, noise, 1, 1, data_rng)
-        resids, kept, tau = spectral.stage_one(obs.g1, obs.g0, r, c_screen if screen else None)
-        return _support_runs(methods, param, resids, m, truth_sup, tau=tau, kept=kept, opts=opts)
+            quiet = np.flatnonzero(np.linalg.norm(basis, axis=1) <= c_screen * n ** -0.25)
+            pool = quiet if quiet.size > m else None
+        return planted(param, basis, eigenvalues[n], m, sigma_b[n],
+                       c_screen if screen else None, data_rng, pool)
 
     return _Plan(n_list, trials, methods, params, tuple(points), cell)
 
 
-def _refine_runs(methods, param, r, basis, vals, noise, data_rng):
+def _refine_runs(methods, param, n, mu, vals, noise, data_rng):
     """One trial's run per refinement estimator: its linf error at param,
-    from four noisy copies of the planted matrix (refine.estimate's layout)."""
+    from four noisy copies (refine.estimate's layout) of the planted matrix
+    of vals on an n x len(vals) basis of coherence mu."""
+    r = len(vals)
+    basis = model.sample_incoherent_basis(n, r, mu, data_rng)
     mstar = model.GroundTruth(basis=basis, eigenvalues=vals).shared_matrix()
     copies = [model._noisy(mstar, noise, data_rng) for _ in range(4)]
 
@@ -668,8 +655,7 @@ def _build_refine(cfg):
 
     def cell(n, point, data_rng):
         param, mus, vals = point
-        basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
-        return _refine_runs(methods, param, r, basis, vals[n], noise, data_rng)
+        return _refine_runs(methods, param, n, mus[n], vals[n], noise, data_rng)
 
     return _Plan(n_list, trials, methods, params, tuple(points), cell)
 
@@ -693,8 +679,7 @@ def _build_eigengap(cfg):
 
     def cell(n, point, data_rng):
         param, vals = point
-        basis = model.sample_incoherent_basis(n, r, mus[n], data_rng)
-        return _refine_runs(methods, param, r, basis, vals[n], noise, data_rng)
+        return _refine_runs(methods, param, n, mus[n], vals[n], noise, data_rng)
 
     return _Plan(n_list, trials, methods, params, points, cell)
 
@@ -721,7 +706,7 @@ def _build_path(cfg):
 
     def cell(n, point, data_rng):
         b, _ = model.sample_node_sparse(n, sizes[n], sigma_b[n], data_rng)
-        y = b + model.sample_noise(n, noise, data_rng)
+        y = model._noisy(b, noise, data_rng)
         grid = support.lambda_grid(y, opts.gl_grid, opts.lambda_floor)
         drawn = labels[:grid.size]
 
@@ -738,8 +723,11 @@ def _build_path(cfg):
 PRESETS = {
     "exp-snr": _build_snr,
     "exp-glfail": _build_glfail,
-    "exp-multicopy": _build_multicopy,
-    "exp-heavytail": _build_heavytail,
+    "exp-multicopy": partial(_build_contrast, copies=2, family="gaussian-row-hetero",
+                             allowed=_TWO_COPIES_NO_TAU, default=("sdp-multi", "sdp"),
+                             c_default="3.2"),
+    "exp-heavytail": partial(_build_contrast, copies=1, family="scaled-t4", allowed=_ONE_COPY,
+                             default=("sdp-trunc", "sdp"), c_default="2.0"),
     "exp-coherence": _build_coherence,
     "exp-refine": _build_refine,
     "exp-eigengap": _build_eigengap,

@@ -113,11 +113,27 @@ def _top_eigenpairs(mat, rank, symmetric=False):
     _KRYLOV_TOL |value|.  An exact breakdown (an invariant subspace) grows on
     from a fresh seeded vector, so a repeated top value is not missed.
     numpy's dense eigh or eig runs when no check passes by dimension
-    min(_KRYLOV_DIM, n - 1), and at once for a rank that does not fit below it."""
-    n = mat.shape[0]
-    dense = np.linalg.eigh if symmetric else np.linalg.eig
+    min(_KRYLOV_DIM, n - 1), and at once for a rank that does not fit below it.
+    A norm that overflows (entries above about 1e154) reruns the solve on mat
+    scaled by the power of two of its largest entry, which is exact, and
+    scales the values back."""
     if rank == 0:
-        return np.zeros(0), np.zeros((n, 0))
+        return np.zeros(0), np.zeros((mat.shape[0], 0))
+    dense = np.linalg.eigh if symmetric else np.linalg.eig
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rescaled below
+        found = _krylov(mat, rank, dense)
+        if found is None:
+            k = np.frexp(np.abs(mat).max())[1]
+            values, vectors = _krylov(np.ldexp(mat, -k), rank, dense)
+            # eig's complex values scale as their float pairs
+            found = np.ldexp(values.view(float), k).view(values.dtype), vectors
+    return found
+
+
+def _krylov(mat, rank, dense):
+    """_top_eigenpairs' solve of mat at rank >= 1; None when a norm of its
+    Krylov vectors or of a Hessenberg column is not finite."""
+    n = mat.shape[0]
     dim = min(_KRYLOV_DIM, n - 1)
     dim = dim if rank < dim else 0
     rng = np.random.default_rng(0)
@@ -127,7 +143,10 @@ def _top_eigenpairs(mat, rank, symmetric=False):
     start = rng.standard_normal(n)
     image = mat @ start
     q[:, 0] = image if image.any() else start
-    q[:, 0] /= np.linalg.norm(q[:, 0])
+    norm = np.linalg.norm(q[:, 0])
+    if not math.isfinite(norm):
+        return None
+    q[:, 0] /= norm
     for d in range(1, dim + 1):
         basis = q[:, :d]
         w = mat @ q[:, d - 1]
@@ -136,7 +155,10 @@ def _top_eigenpairs(mat, rank, symmetric=False):
             w -= basis @ coef
             h[:d, d - 1] += coef
         h[d, d - 1] = np.linalg.norm(w)
-        if h[d, d - 1] <= _KRYLOV_TOL * np.linalg.norm(h[:d, d - 1]):
+        column = np.linalg.norm(h[:d, d - 1])
+        if not (math.isfinite(h[d, d - 1]) and math.isfinite(column)):
+            return None
+        if h[d, d - 1] <= _KRYLOV_TOL * column:
             h[d, d - 1] = 0.0
             w = rng.standard_normal(n)
             w -= basis @ (basis.T @ w)

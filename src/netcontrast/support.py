@@ -420,7 +420,7 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None):
 
     def passes(m):
         if m not in cache:
-            idx, _ = recover("sdp", residual, m, opts=opts, rng=rng)
+            idx = extract_support(solve_sdp(sq, m, opts=opts, rng=rng), m)
             comp = np.setdiff1d(np.arange(nt), idx)
             s_max = float(sq[np.ix_(comp, comp)].sum(axis=1).max())
             slack = c_thresh * sigma_hat**2 * math.sqrt((nt - m) * math.log(nt))

@@ -409,12 +409,18 @@ def test_refine_preset_isolates_a_raising_estimator(monkeypatch):
 
 
 def test_refine_preset_csv_bytes_identical_across_thread_counts(tmp_path):
+    # every preset but exp-snr (see test_run_experiment_row_grid_and_determinism);
     # exp-path draws its whole path in one seeded task at each n
     for k, mapping in enumerate([
         {"preset": "exp-refine", "n": "120", "params": "mu=sqrt(n)|lmin=2.05,mu=log(n)|lmin=3"},
         {"preset": "exp-path", "n": "60,80", "gl_grid": "9"},
         {"preset": "exp-coherence", "n": "80",
          "params": "mu=log(n)|screen=on,mu=sqrt(n/log(n))|screen=off"},
+        {"preset": "exp-glfail", "n": "100"},
+        {"preset": "exp-multicopy", "n": "60"},
+        {"preset": "exp-heavytail", "n": "60", "methods": "sdp"},
+        {"preset": "exp-heavytail", "n": "60", "methods": "sdp-trunc,sdp"},
+        {"preset": "exp-eigengap", "n": "300"},
     ]):
         cfg = config_from_mapping({"trials": "2", "seed": "4", **mapping})
         paths = []

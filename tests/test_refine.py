@@ -1,10 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from netcontrast import refine, spectral
+from netcontrast.cli import main
+from netcontrast.matio import read_matrix
 from netcontrast.model import GroundTruth, NoiseSpec, sample_incoherent_basis, sample_noise
 from netcontrast.refine import (
     ESTIMATORS,
@@ -666,3 +669,18 @@ def test_a_noise_draw_holds_one_matrix():
     # n = 400; the sum of the triangles took 3.13
     n = 400
     assert peak_floats(lambda: sample_noise(n, NoiseSpec(), rng_of(0)), n) < 1.5
+
+
+def test_asymmetric_eigenpairs_rescales_solves_whose_norms_overflow(tmp_path):
+    # the control mean of generate --sigma 1e155: both sides' Krylov norms
+    # overflow, and each side reruns on the mean scaled by a power of two
+    main(["generate", "--n", "30", "--r", "2", "--m", "3", "--sigma", "1e155", "--g0", "4",
+          "--g1", "1", "--seed", "1", "--out-dir", str(tmp_path)])
+    mean = _average([read_matrix(path) for path in sorted(tmp_path.glob("y0_*.txt"))])
+    w = np.linalg.eigvalsh(mean)
+    w = w[np.argsort(-np.abs(w))][:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = asymmetric_eigenpairs(mean, 2)
+    assert np.abs(w).min() > 1e155
+    assert np.allclose(dec.values, w, rtol=1e-12, atol=0)

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from netcontrast.cli import main
+from netcontrast.matio import read_matrix
 from netcontrast.model import (
     GroundTruth,
     NoiseSpec,
@@ -11,9 +15,11 @@ from netcontrast.model import (
 )
 from netcontrast.spectral import (
     RankDecomposition,
+    _average,
     _sign_fix,
     _symmetric_product,
     _symmetrize,
+    _top_eigenpairs,
     estimate_noise_scale,
     form_residual,
     select_low_coherence,
@@ -355,3 +361,34 @@ def test_spectral_init_finds_a_repeated_top_value(monkeypatch):
     assert n not in sizes
     assert np.allclose(dec.values, [5.0, 5.0], rtol=1e-12, atol=0)
     assert np.abs(dec.reconstruct() - 5.0 * q[:, :2] @ q[:, :2].T).max() < 1e-12
+
+
+def overflow_controls(out_dir):
+    # four controls of a 30-node set whose noise scale is 1e155: the Krylov
+    # norms square entries near 1e155, past the float range
+    main(["generate", "--n", "30", "--r", "2", "--m", "3", "--sigma", "1e155", "--g0", "4",
+          "--g1", "1", "--seed", "1", "--out-dir", str(out_dir)])
+    return [read_matrix(path) for path in sorted(out_dir.glob("y0_*.txt"))]
+
+
+def test_spectral_init_rescales_a_solve_whose_norms_overflow(tmp_path):
+    y0 = overflow_controls(tmp_path)
+    w, v = dense_top(_average(y0), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = spectral_init(y0, 2)
+    assert np.abs(w).min() > 1e155
+    assert np.allclose(dec.values, w, rtol=1e-12, atol=0)
+    assert np.abs(dec.right - v).max() < 1e-10
+
+
+def test_a_rescaled_solve_scales_complex_values_back():
+    # a nonsymmetric Gaussian matrix times 2^1000, whose top pair is complex
+    a = np.ldexp(rng_of(0).standard_normal((30, 30)), 1000)
+    w = np.linalg.eigvals(a)
+    w = w[np.argsort(-np.abs(w), kind="stable")][:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, _ = _top_eigenpairs(a, 2)
+    assert np.all(np.abs(w.imag) > 1e300)
+    assert np.allclose(values, w, rtol=1e-12, atol=0)
