@@ -71,7 +71,9 @@ def asymmetric_eigenpairs(mat, rank):
     LinAlgError is raised when a top value of either span has an imaginary
     part above 1e-6 * |value|, or a Ritz residual of either side is above
     1e-6 * |value| times its vector's norm (the two spans are not one pair
-    of top-rank invariant subspaces).  Non-finite input raises ValueError.
+    of top-rank invariant subspaces); each pair's residual and bound are
+    scaled by one power of two, near 1 / |value|, so that the norms do not
+    overflow.  Non-finite input raises ValueError.
     """
     mat = np.asarray(mat, dtype=float)
     nt = mat.shape[0]
@@ -92,9 +94,10 @@ def asymmetric_eigenpairs(mat, rank):
     vr = _sign_fix(q @ y)
     y = q.T @ vr  # Y with the right vectors' signs, which the left ones then share
     vl = p @ np.linalg.solve(g.T, np.linalg.inv(y).T)
+    k = -np.frexp(w)[1]  # 2^k_j is near 1 / |w_j|: an exact scale that keeps the norms finite
     for vecs, res in ((vr, aq @ y - vr * w), (vl, mat.T @ vl - vl * w)):
-        bound = 1e-6 * np.abs(w) * np.linalg.norm(vecs, axis=0)
-        if not np.all(np.linalg.norm(res, axis=0) <= bound):   # NaN fails too
+        bound = 1e-6 * np.ldexp(np.abs(w), k) * np.linalg.norm(vecs, axis=0)
+        if not np.all(np.linalg.norm(np.ldexp(res, k), axis=0) <= bound):   # NaN fails too
             raise np.linalg.LinAlgError(
                 f"top-{rank} Ritz residuals of the two spans exceed 1e-6 |value|")
     vr /= np.linalg.norm(vr, axis=0)
@@ -131,14 +134,17 @@ def eigenspace_correction(dec, copy1, copy2):
     Inverts the eigenvalue-scaled quadratic form of the two copies on the
     right eigenspace, symmetrizes, and takes the principal square root of
     its eigen-decomposition.  Raises LinAlgError when the quadratic form is
-    numerically singular or the symmetrized inverse has a non-positive
-    eigenvalue.
+    not finite (its products overflow) or numerically singular, or the
+    symmetrized inverse has a non-positive eigenvalue.
     """
     u = dec.right
     lam = dec.values
     copy1 = np.asarray(copy1, dtype=float)
     copy2 = np.asarray(copy2, dtype=float)
-    scaled = (u.T @ copy1 @ copy2 @ u) / np.outer(lam, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (u.T @ copy1 @ copy2 @ u) / np.outer(lam, lam)
+    if not np.isfinite(scaled).all():
+        raise np.linalg.LinAlgError("eigenspace quadratic form is not finite")
     if np.linalg.cond(scaled) > 1e12:
         raise np.linalg.LinAlgError("eigenspace quadratic form is numerically singular")
     g = np.linalg.inv(scaled)

@@ -402,10 +402,14 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None):
 
     At each m the SDP support is removed and the largest complement row
     energy is compared against its noise-only level sigma^2 (n - m), with
-    slack c_thresh * sigma^2 * sqrt((n - m) log n): too much energy grows m,
-    a noise-consistent complement shrinks it.  Returns the boundary m where
-    the test flips; if the cap of _M_STEPS steps binds, the last passing m
-    is returned with converged=False.
+    slack c_thresh * sigma^2 * sqrt((n - m) log n).  The test at m0 fixes
+    the one direction of the walk, which tests each m once: from a passing
+    m0 it walks down while m passes, from a failing one up until m passes.
+    With converged=True it returns the passing m next to the failing one
+    where the test flips, or 1 when every m down to 1 passes.  With
+    converged=False it returns n - 2 when no m up to that ceiling passes,
+    and when the cap of _M_STEPS tests binds, the last m tested on the way
+    down or the m one past the last tested on the way up.
     """
     residual = np.asarray(residual, dtype=float)
     nt = residual.shape[0]
@@ -416,38 +420,28 @@ def select_m(residual, sigma_hat, m0, c_thresh=C_THRESH, opts=None, rng=None):
     if nt < 3:
         raise ValueError(f"the walk over m in [1, n - 2] needs n >= 3 nodes, got n={nt}")
     sq = residual * residual
-    cache = {}
 
     def passes(m):
-        if m not in cache:
-            idx = extract_support(solve_sdp(sq, m, opts=opts, rng=rng), m)
-            comp = np.setdiff1d(np.arange(nt), idx)
-            s_max = float(sq[np.ix_(comp, comp)].sum(axis=1).max())
-            slack = c_thresh * sigma_hat**2 * math.sqrt((nt - m) * math.log(nt))
-            cache[m] = abs(s_max - sigma_hat**2 * (nt - m)) <= slack
-        return cache[m]
+        idx = extract_support(solve_sdp(sq, m, opts=opts, rng=rng), m)
+        comp = np.setdiff1d(np.arange(nt), idx)
+        s_max = float(sq[np.ix_(comp, comp)].sum(axis=1).max())
+        slack = c_thresh * sigma_hat**2 * math.sqrt((nt - m) * math.log(nt))
+        return abs(s_max - sigma_hat**2 * (nt - m)) <= slack
 
     m = min(max(int(m0), 1), nt - 2)
-    last_pass = None
-    for step in range(1, _M_STEPS + 1):
-        if passes(m):
-            last_pass = m
-            if cache.get(m - 1) is False:
-                return MSelection(m=m, converged=True, steps=step)
-            if m == 1:
-                return MSelection(m=1, converged=True, steps=step)
-            m -= 1
-        else:
-            if cache.get(m + 1) is True:
-                return MSelection(m=m + 1, converged=True, steps=step)
-            if m == nt - 2:
-                logger.warning("support-size walk pinned at the ceiling m=%d", m)
-                return MSelection(m=last_pass if last_pass is not None else m,
-                                  converged=False, steps=step)
-            m += 1
-    logger.warning("support-size walk hit the %d-step cap", _M_STEPS)
-    return MSelection(m=last_pass if last_pass is not None else m,
-                      converged=False, steps=_M_STEPS)
+    down = passes(m)
+    edge, step = (1 if down else nt - 2), 1
+    while m != edge and step < _M_STEPS:
+        step += 1
+        m += -1 if down else 1
+        if passes(m) != down:
+            return MSelection(m=m + 1 if down else m, converged=True, steps=step)
+    if m != edge:
+        logger.warning("support-size walk hit the %d-step cap", _M_STEPS)
+        return MSelection(m=m if down else m + 1, converged=False, steps=step)
+    if not down:
+        logger.warning("support-size walk pinned at the ceiling m=%d", m)
+    return MSelection(m=m, converged=down, steps=step)
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ def test_recover_m_auto_failed_walk_exits_two(tmp_path):
     assert rec["converged"] is False and rc == 2
 
 
-def test_recover_validation_errors(dataset, capsys):
+def test_recover_validation_errors(dataset, tmp_path, capsys):
     assert main(["recover", "--y1", str(dataset / "y1_00.txt"),
                  "--rank", "2", "--m", "4"]) == 1
     assert "control" in capsys.readouterr().err
@@ -262,6 +262,16 @@ def test_recover_validation_errors(dataset, capsys):
     assert main(["recover", "--y1", str(dataset / "y1_00.txt"),
                  "--method", "sdp-multi", "--m", "4"]) == 1
     assert "sdp-multi" in capsys.readouterr().err
+    # the noise scale of a control near 1e160 overflows, so stage 1 has none
+    # to give the support-size walk
+    data = tmp_path / "e160"
+    assert main(["generate", "--n", "30", "--r", "2", "--m", "3", "--sigma", "1e160",
+                 "--g0", "4", "--g1", "1", "--seed", "1", "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--y1", str(data / "y1_00.txt"),
+                 "--y0", *map(str, sorted(data.glob("y0_0*.txt"))),
+                 "--rank", "2", "--m-auto"]) == 1
+    assert capsys.readouterr().err == "error: --m-auto needs a noise-scale estimate\n"
 
 
 def test_recover_rejects_non_finite_input(dataset, tmp_path, capsys):

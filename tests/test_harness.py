@@ -406,6 +406,23 @@ def test_refine_preset_isolates_a_raising_estimator(monkeypatch):
     assert math.isnan(rows["mhat2"].value) and not rows["mhat2"].converged
     for meth in ("spec", "mhat1"):
         assert math.isfinite(rows[meth].value) and rows[meth].converged
+    # a LinAlgError is refine.estimate's to catch: every mhat2 row is NaN, and
+    # the other rows are bit for bit those of a run where nothing fails
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("no correction")
+
+    def bits(rows):
+        return [(r.n, r.method, r.param, r.trial, r.value.hex(), r.converged) for r in rows]
+
+    cfg = config_from_mapping({"preset": "exp-refine", "n": "150", "trials": "2", "seed": "7",
+                               "params": "mu=log(n)|lmin=3"})
+    monkeypatch.undo()
+    want = bits(run_experiment(cfg).rows)
+    monkeypatch.setattr(refine, "eigenspace_correction", refuse)
+    got = bits(run_experiment(cfg).rows)
+    assert [row for row in got if row[1] != "mhat2"] == [row for row in want if row[1] != "mhat2"]
+    mhat2 = [row[4:] for row in got if row[1] == "mhat2"]
+    assert mhat2 == [("nan", False)] * 2
 
 
 def test_refine_preset_csv_bytes_identical_across_thread_counts(tmp_path):

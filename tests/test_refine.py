@@ -684,3 +684,17 @@ def test_asymmetric_eigenpairs_rescales_solves_whose_norms_overflow(tmp_path):
         dec = asymmetric_eigenpairs(mean, 2)
     assert np.abs(w).min() > 1e155
     assert np.allclose(dec.values, w, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_stage_three_on_copies_with_huge_entries(scale):
+    # squares of entries near 1e200 overflow: mhat1's Ritz check scales each
+    # pair's residual and bound by one power of two and finds the unscaled
+    # estimate, and the product of mhat2's two whitening copies is refused
+    c = refine_copies(60, 33)
+    ((_, want, _),) = estimate(("mhat1",), 3, c)
+    (_, est, error), mhat2 = estimate(("mhat1", "mhat2"), 3, [scale * x for x in c])
+    assert error is None
+    assert entry_error(est / scale, want) <= 1e-12 * np.abs(want).max()
+    assert mhat2 == ("mhat2", None, "eigenspace quadratic form is not finite")

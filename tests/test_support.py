@@ -481,14 +481,19 @@ def test_false_negative_rate_values():
 # support-size selection
 
 def test_select_m_finds_boundary():
+    # the test at m0 fixes the one direction of the walk: up from m0 = 1 and
+    # 2, down from m0 >= 4; at c_thresh 50 every m passes and the cap binds
+    # on the way down, at the last m tested
     n, m_true = 60, 4
     rng = rng_of(12)
     b, sup = sample_node_sparse(n, m_true, 3.0, rng)
     resid = b + symmetric_noise(n, rng)
-    sel = select_m(resid, sigma_hat=1.0, m0=8, c_thresh=3.0, rng=rng_of(0))
-    assert sel.converged
-    assert sel.m == m_true
-    assert np.array_equal(extract_support(solve_sdp(build_cost(resid), sel.m), sel.m), sup)
+    for m0, c_thresh, want in [(8, 3.0, (4, True, 6)), (1, 3.0, (4, True, 4)),
+                               (2, 3.0, (4, True, 3)), (4, 3.0, (4, True, 2)),
+                               (12, 3.0, (4, True, 10)), (40, 50.0, (21, False, 20))]:
+        sel = select_m(resid, sigma_hat=1.0, m0=m0, c_thresh=c_thresh, rng=rng_of(0))
+        assert (sel.m, sel.converged, sel.steps) == want, (m0, c_thresh)
+    assert np.array_equal(extract_support(solve_sdp(build_cost(resid), m_true), m_true), sup)
 
 
 def test_select_m_pure_noise_shrinks_to_one():
@@ -498,12 +503,20 @@ def test_select_m_pure_noise_shrinks_to_one():
     assert sel.m == 1
 
 
-def test_select_m_cap_reports_nonconverged(monkeypatch):
+def test_select_m_cap_reports_nonconverged(monkeypatch, caplog):
+    # at sigma_hat 1e-8 every m fails, so the walk goes up: at n = 10 it is
+    # pinned at the ceiling n - 2, and at n = 30 the cap binds at m = 21 and
+    # returns 22, one past the last m tested
+    for n, want, message in [(10, (8, False, 7), "pinned at the ceiling m=8"),
+                             (30, (22, False, 20), "hit the 20-step cap")]:
+        caplog.clear()
+        sel = select_m(symmetric_noise(n, rng_of(14)), sigma_hat=1e-8, m0=2, rng=rng_of(0))
+        assert (sel.m, sel.converged, sel.steps) == want, n
+        assert message in caplog.text
     monkeypatch.setattr(support, "_M_STEPS", 3)
     y = symmetric_noise(30, rng_of(14))
     sel = select_m(y, sigma_hat=1e-8, m0=2, rng=rng_of(0))
-    assert not sel.converged
-    assert sel.steps == 3
+    assert (sel.m, sel.converged, sel.steps) == (5, False, 3)
 
 
 def test_select_m_rejects_bad_sigma():
