@@ -273,7 +273,10 @@ def _cmd_refine(args):
     if args.emit:
         Path(args.emit).mkdir(parents=True, exist_ok=True)
 
-    copies = [refine.mask_support(y, sup) for y in y1s + y0s]
+    copies = y1s + y0s
+    for y in copies:  # as refine.mask_support, in place: each view is held once
+        y[sup, :] = 0.0
+        y[:, sup] = 0.0
     wanted = refine.ESTIMATORS if args.which == "all" else (args.which,)
     for meth, est, error in refine.estimate(wanted, args.rank, copies):
         entry = record["estimators"][meth] = {"ok": est is not None}

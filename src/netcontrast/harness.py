@@ -618,11 +618,11 @@ def _build_coherence(cfg):
 def _refine_runs(methods, param, n, mu, vals, noise, data_rng):
     """One trial's run per refinement estimator: its linf error at param,
     from four noisy copies (refine.estimate's layout) of the planted matrix
-    of vals on an n x len(vals) basis of coherence mu."""
+    of vals on an n x len(vals) basis of coherence mu, kept two to an array."""
     r = len(vals)
     basis = model.sample_incoherent_basis(n, r, mu, data_rng)
     mstar = model.GroundTruth(basis=basis, eigenvalues=vals).shared_matrix()
-    copies = [model._noisy(mstar, noise, data_rng) for _ in range(4)]
+    copies = spectral._pair_copies(model._noisy(mstar, noise, data_rng) for _ in range(4))
 
     def run(meth, rng):
         ((_, est, _),) = refine.estimate((meth,), r, copies)

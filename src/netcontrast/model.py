@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .spectral import _TILE, _symmetric_product
+from .spectral import _symmetric_product, _upper_tiles
 
 logger = logging.getLogger(__name__)
 
@@ -173,14 +173,13 @@ def _mirror_upper(a):
     in place, one pair of _TILE x _TILE blocks at a time; returns a.  Every
     entry gets + 0.0, as in the sum triu(a) + triu(a, 1).T, so -0.0 becomes
     +0.0."""
-    n = a.shape[0]
-    for i in range(0, n, _TILE):
-        diag = a[i:i + _TILE, i:i + _TILE]
-        diag[...] = np.triu(diag) + np.triu(diag, 1).T
-        for j in range(i + _TILE, n, _TILE):
-            upper = a[i:i + _TILE, j:j + _TILE]
-            upper += 0.0
-            a[j:j + _TILE, i:i + _TILE] = upper.T
+    for rows, cols in _upper_tiles(a.shape[0]):
+        tile = a[rows, cols]
+        if rows == cols:
+            tile[...] = np.triu(tile) + np.triu(tile, 1).T
+        else:
+            tile += 0.0
+            a[cols, rows] = tile.T
     return a
 
 

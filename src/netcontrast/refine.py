@@ -15,7 +15,7 @@ import logging
 import numpy as np
 
 from .spectral import (RankDecomposition, _TILE, _average, _copies, _mean, _sign_fix,
-                       _symmetric_product, _top_eigenpairs, spectral_init)
+                       _symmetric_product, _top_eigenpairs, _upper_tiles, spectral_init)
 
 logger = logging.getLogger(__name__)
 
@@ -36,23 +36,24 @@ def asymmetric_combine(upper, lower):
     from the second, in one fresh array.
 
     Each view is one matrix or a list of copies that stands for their mean,
-    as in spectral._average.  The composite is built one _TILE x _TILE block
-    at a time, from the block mean of the view it reads there, so neither
-    mean is formed in full.  Raises ValueError on views that are not square
-    matrices of equal shape, or on a block mean that is not finite."""
+    as in spectral._average; a copy may be a spectral._Half.  The composite
+    is built one _TILE x _TILE tile at a time, from the tile mean of the
+    view it reads there, so neither mean is formed in full.  Raises
+    ValueError on views that are not square matrices of equal shape, or on
+    a tile mean that is not finite."""
     upper, lower = _copies(upper), _copies(lower)
     n = upper[0].shape[0]
     if lower[0].shape != (n, n):
         raise ValueError("views must be square matrices of equal shape")
     out = np.empty((n, n))
-    for i in range(0, n, _TILE):
-        for j in range(0, n, _TILE):
-            block = (slice(i, i + _TILE), slice(j, j + _TILE))
-            if i == j:
-                np.add(np.triu(_mean(upper, block), 1), np.tril(_mean(lower, block), 0),
-                       out=out[block])
-            else:  # + 0.0 as in the sum of the two triangles: -0.0 becomes +0.0
-                np.add(_mean(upper if j > i else lower, block), 0.0, out=out[block])
+    for rows, cols in _upper_tiles(n):
+        block = (rows, cols)
+        if rows == cols:
+            np.add(np.triu(_mean(upper, block), 1), np.tril(_mean(lower, block), 0),
+                   out=out[block])
+        else:  # + 0.0 as in the sum of the two triangles: -0.0 becomes +0.0
+            np.add(_mean(upper, block), 0.0, out=out[block])
+            np.add(_mean(lower, (cols, rows)), 0.0, out=out[cols, rows])
     return out
 
 
@@ -133,16 +134,22 @@ def eigenspace_correction(dec, copy1, copy2):
 
     Inverts the eigenvalue-scaled quadratic form of the two copies on the
     right eigenspace, symmetrizes, and takes the principal square root of
-    its eigen-decomposition.  Raises LinAlgError when the quadratic form is
-    not finite (its products overflow) or numerically singular, or the
-    symmetrized inverse has a non-positive eigenvalue.
+    its eigen-decomposition.  Each copy is one matrix or a list of copies
+    that stands for their mean, as in spectral._average, and is formed in
+    full only while it is multiplied.  When the form's products overflow, it
+    is formed again from the copies and the values scaled by the power of
+    two of the copies' largest entry, which is exact.  Raises ValueError
+    when a mean is not finite, and LinAlgError when the form is still not
+    finite or is numerically singular, or the symmetrized inverse has a
+    non-positive eigenvalue.
     """
     u = dec.right
     lam = dec.values
-    copy1 = np.asarray(copy1, dtype=float)
-    copy2 = np.asarray(copy2, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = (u.T @ copy1 @ copy2 @ u) / np.outer(lam, lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rescaled below
+        scaled = _eigenspace_form(u, lam, copy1, copy2)
+        if not np.isfinite(scaled).all():
+            k = -np.frexp(max(np.abs(_average(c)).max() for c in (copy1, copy2)))[1]
+            scaled = _eigenspace_form(u, np.ldexp(lam, k), copy1, copy2, k)
     if not np.isfinite(scaled).all():
         raise np.linalg.LinAlgError("eigenspace quadratic form is not finite")
     if np.linalg.cond(scaled) > 1e12:
@@ -155,6 +162,16 @@ def eigenspace_correction(dec, copy1, copy2):
         )
     psi = (gamma * np.sqrt(evals)) @ gamma.T
     return 0.5 * (psi + psi.T)
+
+
+def _eigenspace_form(u, lam, copy1, copy2, k=0):
+    """((u^T c1) c2) u / outer(lam, lam) for the means c1, c2 of the two
+    copies, each scaled by 2^k when k is not 0 and formed once it is used."""
+    def mean(copy):
+        c = _average(copy)
+        return np.ldexp(c, k) if k else c
+    left = u.T @ mean(copy1)
+    return (left @ mean(copy2) @ u) / np.outer(lam, lam)
 
 
 def whitened_reconstruction(dec, psi):
@@ -176,8 +193,9 @@ ESTIMATORS = ("spec", "mhat1", "mhat2")
 def estimate(methods, rank, copies):
     """[(method, estimate or None, error message or None)] for each name of
     ESTIMATORS in methods, in order, from a list of independent copies of
-    the shared matrix: spec truncates the mean of all copies, mhat1 debiases
-    the eigenpairs of the composite that splices the mean of the
+    the shared matrix (arrays, or the spectral._Half views of
+    spectral._pair_copies): spec truncates the mean of all copies, mhat1
+    debiases the eigenpairs of the composite that splices the mean of the
     even-numbered copies with the mean of the odd-numbered ones, and mhat2
     puts copy j in slot j mod 4, splices the means of slots 0 and 1 and
     whitens with the means of slots 2 and 3, so it needs four.
@@ -202,7 +220,7 @@ def estimate(methods, rank, copies):
                 dec = asymmetric_eigenpairs(
                     asymmetric_combine(copies[0::4], copies[1::4]), rank)
                 est = whitened_reconstruction(dec, eigenspace_correction(
-                    dec, _average(copies[2::4]), _average(copies[3::4])))
+                    dec, copies[2::4], copies[3::4]))
         except (np.linalg.LinAlgError, ValueError) as exc:
             logger.warning("estimator %s failed: %s", meth, exc)
             out.append((meth, None, str(exc)))

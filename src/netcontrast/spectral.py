@@ -11,6 +11,7 @@ _KRYLOV_TOL = 1e-12     # _top_eigenpairs: Ritz residual bound, relative to |val
 _KRYLOV_CHECK = 8       # steps between its checks of the Ritz pairs
 _KRYLOV_DIM = 120       # and the Krylov dimension past which it solves densely
 _TILE = 128             # block edge of the in-place and blockwise n x n passes
+_LOWER = np.tri(_TILE, dtype=bool)  # a tile's lower triangle and diagonal
 
 
 @dataclass
@@ -37,14 +38,12 @@ class RankDecomposition:
 def _symmetrize(a):
     """a := 0.5 (a + a^T) in place, bit for bit, one pair of _TILE x _TILE
     blocks at a time, so the transpose is read within a block; returns a."""
-    n = a.shape[0]
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE]
-            mean = upper + lower.T
-            mean *= 0.5
-            upper[...] = mean
-            lower[...] = mean.T
+    for rows, cols in _upper_tiles(a.shape[0]):
+        upper, lower = a[rows, cols], a[cols, rows]
+        mean = upper + lower.T
+        mean *= 0.5
+        upper[...] = mean
+        lower[...] = mean.T
     return a
 
 
@@ -62,10 +61,67 @@ def _sign_fix(vecs):
     return vecs
 
 
+class _Half:
+    """One exactly symmetric copy kept in half of an n x n array that it
+    shares with another (see _pair_copies): the strict upper triangle of pair
+    and the n-vector diag, or, when diag is None, the lower triangle and
+    diagonal of pair.  self[block] is the copy's block on one tile of the
+    _TILE grid: a view of pair, or of its transpose, off the diagonal, and a
+    fresh tile on it."""
+
+    def __init__(self, pair, diag=None):
+        self.pair, self.diag, self.shape = pair, diag, pair.shape
+
+    def __getitem__(self, block):
+        rows, cols = block
+        upper = self.diag is not None
+        if rows != cols:  # kept as it is on this copy's side, and transposed on the other
+            above = rows.start < cols.start
+            return self.pair[block] if above == upper else self.pair[cols, rows].T
+        tile = self.pair[block]
+        high, low = (tile, tile.T) if upper else (tile.T, tile)
+        out = high.copy()
+        np.copyto(out, low, where=_LOWER[:len(tile), :len(tile)])
+        if upper:
+            np.fill_diagonal(out, self.diag[rows])
+        return out
+
+
+def _pair_copies(copies):
+    """The exactly symmetric n x n float arrays of the iterable copies, kept
+    two to an array as they arrive: copy 2k's array becomes pair array k, its
+    diagonal is kept as an n-vector, and copy 2k+1's lower triangle and
+    diagonal are written over that array's own, _TILE rows at a time.
+    Returns the list of copies, as _Half views of the pairs; an odd last
+    copy stays as it is.  Copy 2k's array is overwritten."""
+    out = []
+    for y in copies:
+        if len(out) % 2 == 0:
+            out.append(y)
+        else:
+            pair = out[-1]
+            diag = pair.diagonal().copy()
+            for i in range(0, len(pair), _TILE):
+                rows = slice(i, i + _TILE)
+                pair[rows, :i] = y[rows, :i]
+                tile = pair[rows, rows]
+                np.copyto(tile, y[rows, rows], where=_LOWER[:len(tile), :len(tile)])
+            out[-1:] = [_Half(pair, diag), _Half(pair)]
+        del y   # a drawn copy is not kept alive through the next draw
+    return out
+
+
+def _upper_tiles(n):
+    """The (rows, cols) slice pairs of the _TILE x _TILE tiles of an n x n
+    array on and above its diagonal."""
+    return [(slice(i, i + _TILE), slice(j, j + _TILE))
+            for i in range(0, n, _TILE) for j in range(i, n, _TILE)]
+
+
 def _copies(mats):
     """One square matrix or a nonempty list of equal-shape ones, as a list of
-    float arrays; raises ValueError otherwise."""
-    mats = [np.asarray(y, dtype=float)
+    float arrays or _Half views; raises ValueError otherwise."""
+    mats = [y if isinstance(y, _Half) else np.asarray(y, dtype=float)
             for y in (mats if isinstance(mats, (list, tuple)) else [mats])]
     if not mats:
         raise ValueError("need at least one matrix")
@@ -79,9 +135,10 @@ def _copies(mats):
 
 
 def _mean(mats, block=slice(None)):
-    """Elementwise mean of one block of a _copies list: summed in order and
-    divided by the count; one matrix's block comes back as a view.  Raises
-    ValueError when the mean is not finite."""
+    """Elementwise mean of one block of a _copies list (a tile of the _TILE
+    grid where one is a _Half): summed in order and divided by the count;
+    one matrix's block comes back as it is read.  Raises ValueError when
+    the mean is not finite."""
     total = mats[0][block]
     if len(mats) > 1:
         total = total.copy()
@@ -98,11 +155,21 @@ def _average(mats):
 
     Summed in order and divided by the count, which is bit for bit numpy's
     mean of the stacked matrices along axis 0, without the stacked copy; one
-    float matrix comes back as a view of itself, not copied.  Raises
-    ValueError on an empty list, unequal or non-square shapes, or a
+    float matrix comes back as a view of itself, not copied.  A list with a
+    _Half stands for exactly symmetric copies: its mean is formed on the
+    tiles on and above the diagonal, in one fresh array, and mirrored.
+    Raises ValueError on an empty list, unequal or non-square shapes, or a
     non-finite mean.
     """
-    return _mean(_copies(mats))
+    mats = _copies(mats)
+    if not any(isinstance(y, _Half) for y in mats):
+        return _mean(mats)
+    out = np.empty(mats[0].shape)
+    for rows, cols in _upper_tiles(len(out)):
+        out[rows, cols] = _mean(mats, (rows, cols))
+        if rows != cols:
+            out[cols, rows] = out[rows, cols].T
+    return out
 
 
 def _top_eigenpairs(mat, rank, symmetric=False):

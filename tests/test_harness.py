@@ -438,6 +438,7 @@ def test_refine_preset_csv_bytes_identical_across_thread_counts(tmp_path):
         {"preset": "exp-heavytail", "n": "60", "methods": "sdp"},
         {"preset": "exp-heavytail", "n": "60", "methods": "sdp-trunc,sdp"},
         {"preset": "exp-eigengap", "n": "300"},
+        {"preset": "exp-eigengap", "n": "300", "methods": "spec,mhat1,mhat2"},
     ]):
         cfg = config_from_mapping({"trials": "2", "seed": "4", **mapping})
         paths = []
